@@ -297,6 +297,7 @@ mod tests {
 
     #[test]
     fn reuse_zeroes_and_counts() {
+        let _g = crate::serial();
         let mut arena = WorkspaceArena::new();
         arena.begin_problem(ShapeClass { n: 8, b: 2, k: 4 });
 
@@ -322,6 +323,7 @@ mod tests {
     #[test]
     #[cfg(debug_assertions)]
     fn released_buffers_are_poisoned() {
+        let _g = crate::serial();
         let mut arena = WorkspaceArena::new();
         let mut m = arena.acquire(3, 3);
         m.fill(1.5);
@@ -335,6 +337,7 @@ mod tests {
 
     #[test]
     fn class_change_drops_cache() {
+        let _g = crate::serial();
         let mut arena = WorkspaceArena::new();
         let c1 = ShapeClass { n: 16, b: 4, k: 8 };
         let c2 = ShapeClass { n: 16, b: 4, k: 16 };
@@ -354,6 +357,7 @@ mod tests {
 
     #[test]
     fn live_bytes_track_high_water_and_class_peaks() {
+        let _g = crate::serial();
         let mut arena = WorkspaceArena::new();
         let c1 = ShapeClass { n: 8, b: 2, k: 4 };
         arena.begin_problem(c1);
@@ -390,6 +394,7 @@ mod tests {
 
     #[test]
     fn zero_length_buffers_recycle() {
+        let _g = crate::serial();
         let mut arena = WorkspaceArena::new();
         let m = arena.acquire(5, 0);
         assert_eq!((m.nrows(), m.ncols()), (5, 0));
@@ -401,6 +406,7 @@ mod tests {
 
     #[test]
     fn lease_tracks_balance_and_scrub_drops_cache() {
+        let _g = crate::serial();
         let class = ShapeClass { n: 8, b: 2, k: 4 };
         let mut arena = WorkspaceArena::new();
         {
@@ -419,6 +425,7 @@ mod tests {
 
     #[test]
     fn lease_repairs_arena_after_unwind() {
+        let _g = crate::serial();
         let class = ShapeClass { n: 8, b: 2, k: 4 };
         let mut arena = WorkspaceArena::new();
         // park one clean buffer so there is a cache to scrub

@@ -42,3 +42,12 @@ pub mod threads;
 pub use arena::{ArenaStats, ShapeClass, WorkspaceArena, WorkspaceLease};
 pub use scheduler::{BatchResult, BatchScheduler, BatchStats, CancelToken};
 pub use threads::worker_threads;
+
+/// Trace sessions are process-global: a test that records arena counters
+/// while another test's session is open leaks them into its totals. Every
+/// test in this crate that solves or touches an arena holds this lock.
+#[cfg(test)]
+pub(crate) fn serial() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}

@@ -272,6 +272,7 @@ mod tests {
 
     #[test]
     fn evd_bitwise_identical_to_single_problem_path() {
+        let _g = crate::serial();
         let n = 24;
         let probs = problems(6, n);
         let method = EvdMethod::proposed_default(n);
@@ -289,6 +290,7 @@ mod tests {
 
     #[test]
     fn evd_worker_count_does_not_change_results() {
+        let _g = crate::serial();
         let n = 20;
         let probs = problems(5, n);
         let method = EvdMethod::proposed_default(n);
@@ -304,6 +306,7 @@ mod tests {
 
     #[test]
     fn tridiag_batch_matches_single() {
+        let _g = crate::serial();
         let n = 28;
         let probs = problems(4, n);
         let method = Method::paper_default(n);
@@ -323,6 +326,7 @@ mod tests {
 
     #[test]
     fn arena_stats_match_trace_counters() {
+        let _g = crate::serial();
         let n = 24;
         let probs = problems(4, n);
         let method = EvdMethod::proposed_default(n);
@@ -346,6 +350,7 @@ mod tests {
 
     #[test]
     fn uniform_batch_hit_rate_exceeds_90_percent() {
+        let _g = crate::serial();
         // One worker, 16 identical-shape problems: after the first (all-
         // miss) problem every workspace request is served from the cache.
         let n = 32;
@@ -365,6 +370,7 @@ mod tests {
 
     #[test]
     fn cancelled_token_before_start_runs_nothing() {
+        let _g = crate::serial();
         let n = 16;
         let probs = problems(4, n);
         let method = EvdMethod::proposed_default(n);
@@ -380,6 +386,7 @@ mod tests {
 
     #[test]
     fn cancellation_never_changes_finished_results() {
+        let _g = crate::serial();
         let n = 20;
         let probs = problems(6, n);
         let method = EvdMethod::proposed_default(n);
@@ -414,6 +421,7 @@ mod tests {
 
     #[test]
     fn empty_batch() {
+        let _g = crate::serial();
         let method = EvdMethod::proposed_default(8);
         let batch = BatchScheduler::new(4).syevd(&[], &method, true).unwrap();
         assert!(batch.results.is_empty());

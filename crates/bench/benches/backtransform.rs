@@ -29,7 +29,8 @@ fn bench_bt(c: &mut Criterion) {
         });
     }
 
-    // BC back transformation: per-reflector vs sweep-blocked (§8 extension)
+    // BC back transformation: per-reflector vs cross-sweep grouped blocks
+    // (§8 extension)
     let band = tg_matrix::SymBand::from_dense_lower(&gen::random_symmetric_band(n, b, 3), b);
     let bc = tridiag_core::bulge_chase_seq(&band);
     g.bench_function("bc_reflectors", |bench| {
@@ -39,7 +40,7 @@ fn bench_bt(c: &mut Criterion) {
             cm
         });
     });
-    g.bench_function("bc_sweep_blocked", |bench| {
+    g.bench_function("bc_grouped_blocks", |bench| {
         bench.iter(|| {
             let mut cm = c0.clone();
             bc.apply_q_left_blocked(&mut cm, false);

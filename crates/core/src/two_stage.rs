@@ -103,9 +103,9 @@ impl TridiagResult {
     }
 
     /// Like [`Self::apply_q`] but uses the blocked back transformations:
-    /// one block reflector per BC sweep (the §8 future-work optimization,
-    /// see [`crate::bc::backward`]) and the Figure-13 blocked `W` for the
-    /// band-reduction factor (two-stage only).
+    /// cross-sweep grouped blocks for the BC factor (the §8 future-work
+    /// optimization, see [`crate::bc::backward`]) and the Figure-13
+    /// blocked `W` for the band-reduction factor (two-stage only).
     pub fn apply_q_blocked(&self, c: &mut Mat, target_k: usize) {
         match &self.q {
             QFactors::Direct(_) => self.apply_q(c),
@@ -123,7 +123,7 @@ impl TridiagResult {
     /// apply partitioned into eigenvector column panels drained by a
     /// scoped worker pool sized by `tg_blas::threads::worker_threads`.
     ///
-    /// The Q₂ sweep blocks and merged width-`target_k` Q₁ blocks are built
+    /// The grouped Q₂ blocks and merged width-`target_k` Q₁ blocks are built
     /// **once** from `pool`, shared read-only across all panels, and
     /// released when the apply finishes. Panel boundaries are fixed
     /// ([`crate::backtransform::PANEL_COLS`]), so the result is

@@ -142,7 +142,7 @@ impl Trace {
         let mut out = String::new();
         let _ = writeln!(
             out,
-            "{:<22} {:<7} {:>6} {:>11} {:>7} {:>10} {:>9}",
+            "{:<26} {:<7} {:>6} {:>11} {:>7} {:>10} {:>9}",
             "span", "cat", "calls", "wall ms", "% wall", "GFLOP", "GFLOP/s"
         );
         // zero denominators render as "n/a", never NaN: an empty session
@@ -165,7 +165,7 @@ impl Trace {
             let gflop = r.counters[Counter::Flops.index()] as f64 / 1e9;
             let _ = writeln!(
                 out,
-                "{:<22} {:<7} {:>6} {:>11.3} {:>7} {:>10.3} {:>9}",
+                "{:<26} {:<7} {:>6} {:>11.3} {:>7} {:>10.3} {:>9}",
                 r.name,
                 r.cat,
                 r.count,
@@ -178,7 +178,7 @@ impl Trace {
         let total_gflop = self.total(Counter::Flops) as f64 / 1e9;
         let _ = writeln!(
             out,
-            "{:<22} {:<7} {:>6} {:>11.3} {:>7} {:>10.3} {:>9}",
+            "{:<26} {:<7} {:>6} {:>11.3} {:>7} {:>10.3} {:>9}",
             "TOTAL (session)",
             "",
             "",

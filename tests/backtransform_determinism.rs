@@ -152,3 +152,72 @@ fn direct_method_falls_back_to_reflector_apply() {
     red.apply_q_blocked_ws_with(&mut blocked, 16, &mut AllocPool, 4, &mut PanelPools::new());
     assert_mat_bitwise(&conventional, &blocked, "direct fallback");
 }
+
+#[test]
+fn grouped_q2_blocks_match_reflector_apply_within_useful_flop_budget() {
+    // Q₂ is applied as cross-sweep blocks: the task-t reflectors of G
+    // consecutive sweeps, task index descending within a group. The
+    // reordering is exact, so both directions must match the
+    // reflector-by-reflector product, and the staircase blocks must keep
+    // performed flops within 2× the useful ones (the per-sweep dense
+    // blocks they replace did O(n/b)× the useful work).
+    let mut ragged = false;
+    for n in [15usize, 31, 33, 64, 65, 129, 256] {
+        let EvdMethod::Proposed {
+            b, parallel_sweeps, ..
+        } = EvdMethod::proposed_default(n)
+        else {
+            panic!("proposed_default is a Proposed method");
+        };
+        let group = tridiag_gpu::core::bc::backward::SWEEP_GROUP.min(b);
+        ragged |= (n - 2) % group != 0;
+        let band = SymBand::from_dense_lower(&gen::random_symmetric_band(n, b, n as u64), b);
+        let c0 = gen::random(n, 9, 51);
+        for (name, bc) in [
+            ("seq", bulge_chase_seq(&band)),
+            ("pipelined", bulge_chase_pipelined(&band, parallel_sweeps)),
+        ] {
+            for trans in [false, true] {
+                let mut reference = c0.clone();
+                bc.apply_q_left(&mut reference, trans);
+                let mut grouped = c0.clone();
+                bc.apply_q_left_blocked(&mut grouped, trans);
+                let mut max_diff = 0.0f64;
+                for i in 0..n {
+                    for j in 0..c0.ncols() {
+                        max_diff = max_diff.max((reference[(i, j)] - grouped[(i, j)]).abs());
+                    }
+                }
+                assert!(
+                    max_diff < 1e-12,
+                    "{name} n={n} b={b} trans={trans}: max |diff| = {max_diff:e}"
+                );
+            }
+
+            // Flops per eigenvector column, counted the way the perfbench
+            // traced replay counts them: 4·rows·width per block against
+            // 4·len per non-identity reflector.
+            let blocks = bc.sweep_blocks_ws(&mut AllocPool);
+            let performed: f64 = blocks
+                .iter()
+                .map(|(_, f)| 4.0 * (f.w.nrows() * f.w.ncols()) as f64)
+                .sum();
+            tridiag_gpu::core::backtransform::release_blocks(blocks, &mut AllocPool);
+            let useful: f64 = bc
+                .reflectors
+                .iter()
+                .flatten()
+                .filter(|r| r.tau != 0.0)
+                .map(|r| 4.0 * r.v.len() as f64)
+                .sum();
+            assert!(
+                performed <= 2.0 * useful,
+                "{name} n={n} b={b}: performed {performed} > 2 × useful {useful}"
+            );
+        }
+    }
+    assert!(
+        ragged,
+        "some sweep count must not be a multiple of the group"
+    );
+}

@@ -1,8 +1,18 @@
 //! Integration tests for the batched EVD subsystem: determinism across
 //! the scheduler, arena behaviour, and observability of the arena
 //! counters through the `--profile` exporter.
+//!
+//! Trace sessions are global, so every test here serializes on a local
+//! mutex — arena counters recorded by a concurrently running solve would
+//! otherwise leak into an open session.
 
+use std::sync::{Mutex, MutexGuard};
 use tridiag_gpu::prelude::*;
+
+fn serial() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 fn problems(count: usize, n: usize) -> Vec<Mat> {
     (0..count)
@@ -15,6 +25,7 @@ fn problems(count: usize, n: usize) -> Vec<Mat> {
 /// worker counts.
 #[test]
 fn batched_results_bitwise_identical_to_syevd() {
+    let _g = serial();
     let n = 28;
     let probs = problems(8, n);
     let method = EvdMethod::proposed_default(n);
@@ -43,6 +54,7 @@ fn batched_results_bitwise_identical_to_syevd() {
 /// each other too (both are held to the single-problem path).
 #[test]
 fn scheduler_matches_serial_reference() {
+    let _g = serial();
     let n = 20;
     let probs = problems(5, n);
     let method = EvdMethod::proposed_default(n);
@@ -59,6 +71,7 @@ fn scheduler_matches_serial_reference() {
 /// with the same numbers — in the `--profile` output.
 #[test]
 fn arena_hit_rate_visible_in_profile_and_above_90_percent() {
+    let _g = serial();
     let n = 32;
     let probs = problems(16, n);
     let method = EvdMethod::proposed_default(n);
@@ -113,6 +126,7 @@ fn arena_hit_rate_visible_in_profile_and_above_90_percent() {
 /// the cache instead of serving wrong-size (or stale) buffers.
 #[test]
 fn mixed_shape_batch_is_still_bitwise_correct() {
+    let _g = serial();
     let method = EvdMethod::proposed_default(24);
     let probs: Vec<Mat> = [16usize, 24, 16, 24, 32]
         .iter()
@@ -130,6 +144,7 @@ fn mixed_shape_batch_is_still_bitwise_correct() {
 /// Batched tridiagonalization (not just full EVD) is deterministic too.
 #[test]
 fn batched_tridiagonalize_bitwise() {
+    let _g = serial();
     let n = 24;
     let probs = problems(4, n);
     let method = Method::paper_default(n);
