@@ -45,7 +45,7 @@ impl ShapeClass {
         match method {
             Method::Direct { nb } => ShapeClass { n, b: *nb, k: 0 },
             Method::Sbr { b, .. } => ShapeClass { n, b: *b, k: 0 },
-            Method::Dbbr { cfg, .. } | Method::DbbrGrouped { cfg, .. } => ShapeClass {
+            Method::Dbbr { cfg, .. } => ShapeClass {
                 n,
                 b: cfg.b,
                 k: cfg.k,

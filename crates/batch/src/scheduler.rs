@@ -1,11 +1,11 @@
 //! Worker-pool scheduler for batched EVD / tridiagonalization.
 //!
-//! The scheduler owns nothing between calls: each call spawns `workers`
-//! scoped threads, hands out problem indices through one atomic counter
-//! (dynamic work stealing — cheap and fair for uneven problem times), and
-//! gives every worker its own [`WorkspaceArena`]. Results land in
-//! per-problem slots, so output order always matches input order no matter
-//! which worker ran what.
+//! The scheduler owns nothing between calls: each call hands the problem
+//! indices to [`tg_blas::threads::run_tasks`] with `workers` lanes, which
+//! claim them from one atomic cursor (dynamic work stealing — cheap and
+//! fair for uneven problem times), and gives every lane its own
+//! [`WorkspaceArena`]. Results come back in task order, so output order
+//! always matches input order no matter which worker ran what.
 //!
 //! # Determinism contract
 //!
@@ -17,10 +17,11 @@
 //! there are, or what ran before it on the same arena. This is asserted
 //! bitwise by the tests here and in `tests/batching.rs`.
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use tg_blas::threads::{run_tasks, Spans};
 use tg_eigen::{syevd_ws, EigenError, Evd, EvdMethod};
 use tg_matrix::Mat;
 use tridiag_core::{tridiagonalize_ws, Method, TridiagResult};
@@ -32,8 +33,9 @@ use crate::arena::{ArenaStats, ShapeClass, WorkspaceArena};
 pub struct BatchStats {
     /// Problems solved.
     pub problems: usize,
-    /// Workers actually spawned (≤ the scheduler's configured count, never
-    /// more than the number of problems).
+    /// Worker lanes used — the calling thread plus spawned threads (≤ the
+    /// scheduler's configured count, never more than the number of
+    /// problems).
     pub workers: usize,
     /// Wall-clock time for the whole batch.
     pub wall: Duration,
@@ -66,10 +68,10 @@ pub struct BatchResult<T> {
 /// Cooperative cancellation handle for batched work items.
 ///
 /// Cancellation is observed at work-item granularity: a worker finishes the
-/// problem it is computing, then stops claiming new indices. Clones share
-/// one flag, so the submitting side keeps a copy and hands another to the
-/// scheduler (or to a `tg-serve` job, which checks it between retry
-/// attempts). Once cancelled, a token stays cancelled.
+/// problem it is computing, then skips every problem it claims after.
+/// Clones share one flag, so the submitting side keeps a copy and hands
+/// another to the scheduler (or to a `tg-serve` job, which checks it
+/// between retry attempts). Once cancelled, a token stays cancelled.
 #[derive(Clone, Debug, Default)]
 pub struct CancelToken(Arc<AtomicBool>);
 
@@ -139,7 +141,7 @@ impl BatchScheduler {
     }
 
     /// [`syevd`](BatchScheduler::syevd) with cooperative cancellation:
-    /// workers stop claiming new problems once `token` is cancelled, and
+    /// workers skip every problem they claim once `token` is cancelled, and
     /// unstarted slots come back as `None` (finished ones keep their
     /// bitwise-deterministic results — cancellation changes *which*
     /// problems run, never what any individual result contains). The first
@@ -177,11 +179,11 @@ impl BatchScheduler {
         BatchResult { results, stats }
     }
 
-    /// Generic work loop: pulls indices `0..count` off a shared atomic
-    /// queue, runs `f(i, arena)` under a `batch.problem` span, and returns
-    /// results in index order plus merged stats. With a `token`, workers
-    /// stop claiming indices once it is cancelled and the unclaimed slots
-    /// come back `None`; without one every slot is `Some`.
+    /// Generic work loop: runs `f(i, arena)` for every index `0..count` as
+    /// one [`run_tasks`] task list (`batch.problem` task spans), each lane
+    /// with its own arena, and returns results in index order plus merged
+    /// stats. With a `token`, problems not yet started once it is
+    /// cancelled come back `None`; without one every slot is `Some`.
     fn run<T, F>(
         &self,
         count: usize,
@@ -194,65 +196,28 @@ impl BatchScheduler {
     {
         let start = Instant::now();
         let workers = self.workers.min(count.max(1));
-        let next = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<T>>> = (0..count).map(|_| Mutex::new(None)).collect();
-        let merged = Mutex::new(ArenaStats::default());
-        let region = tg_trace::RegionId::fresh();
-        let _rspan = tg_trace::span_region(
-            "parallel.batch",
-            "region",
-            Some(("problems", count as u64)),
-            region,
-        );
-        std::thread::scope(|s| {
-            for w in 0..workers {
-                let (next, slots, merged, f) = (&next, &slots, &merged, &f);
-                s.spawn(move || {
-                    // With several workers the parallelism budget is spent
-                    // across problems: mark the region so the BLAS kernels
-                    // inside each problem stay serial (bitwise-identical
-                    // either way) instead of nesting a second fan-out. A
-                    // single worker keeps intra-kernel parallelism.
-                    let _region = (workers > 1).then(tg_blas::threads::enter_parallel_region);
-                    // Worker-loop marker span: gives each worker a visible
-                    // lane in the timeline without double counting the
-                    // nested per-problem task spans.
-                    let _wspan = tg_trace::span_region(
-                        "batch.worker",
-                        "worker",
-                        Some(("w", w as u64)),
-                        region,
-                    );
-                    let mut arena = WorkspaceArena::new();
-                    loop {
-                        if token.is_some_and(CancelToken::is_cancelled) {
-                            break;
-                        }
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= count {
-                            break;
-                        }
-                        let out = {
-                            let _span = tg_trace::span_region(
-                                "batch.problem",
-                                "task",
-                                Some(("problem", i as u64)),
-                                region,
-                            );
-                            f(i, &mut arena)
-                        };
-                        *slots[i].lock().unwrap() = Some(out);
-                    }
-                    merged.lock().unwrap().merge(&arena.stats());
-                });
+        let mut arenas: Vec<WorkspaceArena> = (0..workers).map(|_| WorkspaceArena::new()).collect();
+        let spans = Spans {
+            region: "parallel.batch",
+            worker: "batch.worker",
+            task: "batch.problem",
+        };
+        let results = run_tasks(spans, (0..count).collect(), &mut arenas, |arena, i| {
+            if token.is_some_and(CancelToken::is_cancelled) {
+                None
+            } else {
+                Some(f(i, arena))
             }
         });
-        let results = slots.into_iter().map(|m| m.into_inner().unwrap()).collect();
+        let mut merged = ArenaStats::default();
+        for arena in &arenas {
+            merged.merge(&arena.stats());
+        }
         let stats = BatchStats {
             problems: count,
             workers,
             wall: start.elapsed(),
-            arena: *merged.lock().unwrap(),
+            arena: merged,
         };
         (results, stats)
     }

@@ -5,7 +5,7 @@
 //! CPU analogue of that cuBLAS batched call.
 
 use crate::level3::{gemm, Op};
-use rayon::prelude::*;
+use crate::threads::{run_tasks, Spans};
 use tg_matrix::Mat;
 
 /// One GEMM problem in a batch: `C ← α·op(A)·op(B) + β·C`.
@@ -19,86 +19,38 @@ pub struct GemmJob<'a> {
     pub c: &'a mut Mat,
 }
 
-/// Executes every job in the batch, in parallel when the batch is non-trivial.
+/// Executes every job in the batch across [`crate::threads::gemm_threads`]
+/// workers.
 ///
-/// Jobs run inside a parallel region (see [`crate::threads`]), so the GEMM
-/// inside each job stays serial — the parallelism budget is spent across
-/// the batch, not inside one member. A single-job "batch" runs inline and
-/// keeps the full intra-GEMM fan-out.
+/// With several workers the jobs run inside a parallel region (see
+/// [`crate::threads`]), so the GEMM inside each job stays serial — the
+/// parallelism budget is spent across the batch, not inside one member. A
+/// single-job "batch" runs inline and keeps the full intra-GEMM fan-out.
 pub fn gemm_batched(jobs: Vec<GemmJob<'_>>) {
-    if jobs.len() <= 1 {
-        for j in jobs {
-            run(j);
-        }
-    } else {
-        let region = tg_trace::RegionId::fresh();
-        let _rspan = tg_trace::span_region(
-            "parallel.gemm_batched",
-            "region",
-            Some(("jobs", jobs.len() as u64)),
-            region,
-        );
-        jobs.into_par_iter().enumerate().for_each(|(i, j)| {
-            let _g = crate::threads::enter_parallel_region();
-            let _t =
-                tg_trace::span_region("task.gemm_job", "task", Some(("job", i as u64)), region);
-            run(j);
-        });
-    }
-}
-
-fn run(j: GemmJob<'_>) {
-    let GemmJob {
-        alpha,
-        a,
-        op_a,
-        b,
-        op_b,
-        beta,
-        c,
-    } = j;
-    gemm(
-        alpha,
-        &a.as_ref(),
-        op_a,
-        &b.as_ref(),
-        op_b,
-        beta,
-        &mut c.as_mut(),
-    );
-}
-
-/// Uniform batched GEMM over parallel slices:
-/// `C[i] ← α·op(A[i])·op(B[i]) + β·C[i]` for every `i`.
-pub fn gemm_batched_uniform(
-    alpha: f64,
-    a: &[Mat],
-    op_a: Op,
-    b: &[Mat],
-    op_b: Op,
-    beta: f64,
-    c: &mut [Mat],
-) {
-    assert_eq!(a.len(), b.len());
-    assert_eq!(a.len(), c.len());
-    let region = tg_trace::RegionId::fresh();
-    let _rspan = tg_trace::span_region(
-        "parallel.gemm_batched",
-        "region",
-        Some(("jobs", c.len() as u64)),
-        region,
-    );
-    c.par_iter_mut().enumerate().for_each(|(i, ci)| {
-        let _g = crate::threads::enter_parallel_region();
-        let _t = tg_trace::span_region("task.gemm_job", "task", Some(("job", i as u64)), region);
-        gemm(
+    let spans = Spans {
+        region: "parallel.gemm_batched",
+        worker: "gemm.worker",
+        task: "task.gemm_job",
+    };
+    let mut lanes = vec![(); crate::threads::gemm_threads()];
+    run_tasks(spans, jobs, &mut lanes, |_, job| {
+        let GemmJob {
             alpha,
-            &a[i].as_ref(),
+            a,
             op_a,
-            &b[i].as_ref(),
+            b,
             op_b,
             beta,
-            &mut ci.as_mut(),
+            c,
+        } = job;
+        gemm(
+            alpha,
+            &a.as_ref(),
+            op_a,
+            &b.as_ref(),
+            op_b,
+            beta,
+            &mut c.as_mut(),
         );
     });
 }
@@ -107,31 +59,6 @@ pub fn gemm_batched_uniform(
 mod tests {
     use super::*;
     use tg_matrix::gen;
-
-    #[test]
-    fn uniform_batch_matches_singles() {
-        let batch = 5;
-        let a: Vec<Mat> = (0..batch).map(|i| gen::random(4, 3, i as u64)).collect();
-        let b: Vec<Mat> = (0..batch)
-            .map(|i| gen::random(3, 6, 100 + i as u64))
-            .collect();
-        let mut c: Vec<Mat> = (0..batch).map(|_| Mat::zeros(4, 6)).collect();
-        gemm_batched_uniform(1.0, &a, Op::NoTrans, &b, Op::NoTrans, 0.0, &mut c);
-        for i in 0..batch {
-            let expect = crate::level3::gemm_into(
-                1.0,
-                &a[i].as_ref(),
-                Op::NoTrans,
-                &b[i].as_ref(),
-                Op::NoTrans,
-            );
-            for jj in 0..6 {
-                for ii in 0..4 {
-                    assert!((c[i][(ii, jj)] - expect[(ii, jj)]).abs() < 1e-12);
-                }
-            }
-        }
-    }
 
     #[test]
     fn heterogeneous_jobs() {

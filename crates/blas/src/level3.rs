@@ -7,10 +7,9 @@
 //! own `ic`-strip parallelism; only degenerate/skinny shapes fall back to
 //! the column-oriented axpy kernel here, whose hot loops run over
 //! contiguous column slices so bounds checks vanish (Rust Performance Book
-//! guidance), with a rayon fan-out over output-column blocks above a size
-//! threshold.
+//! guidance), fanned out over output-column blocks above a size threshold.
 
-use rayon::prelude::*;
+use crate::threads::{run_tasks, Spans};
 use tg_matrix::{Mat, MatMut, MatRef};
 
 /// Transpose selector for [`gemm`] operands.
@@ -106,26 +105,25 @@ pub fn gemm(
         return crate::pack::gemm_packed(alpha, a, op_a, b, op_b, 1.0, c);
     }
 
-    let elems = m * n;
-    if elems >= PAR_THRESHOLD && crate::threads::gemm_threads() > 1 {
-        // Split C into disjoint column blocks and process them in parallel.
-        let region = tg_trace::RegionId::fresh();
-        let _rspan = tg_trace::span_region(
-            "parallel.gemm_cols",
-            "region",
-            Some(("n", n as u64)),
-            region,
+    let threads = (m * n >= PAR_THRESHOLD)
+        .then(crate::threads::gemm_threads)
+        .unwrap_or(1);
+    if threads > 1 {
+        // Disjoint column blocks of C; each column's arithmetic is the same
+        // whichever block (and thread) computes it.
+        let spans = Spans {
+            region: "parallel.gemm_cols",
+            worker: "gemm.worker",
+            task: "task.gemm_cols",
+        };
+        run_tasks(
+            spans,
+            par_col_blocks(c, JB),
+            &mut vec![(); threads],
+            |_, (j0, mut cb)| gemm_block(alpha, a, op_a, b, op_b, j0, &mut cb),
         );
-        let blocks = par_col_blocks(c, JB);
-        blocks.into_par_iter().for_each(|(j0, mut cb)| {
-            let _g = crate::threads::enter_parallel_region();
-            let _t =
-                tg_trace::span_region("task.gemm_cols", "task", Some(("j0", j0 as u64)), region);
-            gemm_block(alpha, a, op_a, b, op_b, j0, &mut cb);
-        });
     } else {
-        let j0 = 0;
-        gemm_block(alpha, a, op_a, b, op_b, j0, c);
+        gemm_block(alpha, a, op_a, b, op_b, 0, c);
     }
 }
 

@@ -25,7 +25,7 @@
 #![allow(clippy::too_many_arguments)] // kernel plumbing mirrors the BLIS decomposition
 
 use crate::level3::Op;
-use rayon::prelude::*;
+use crate::threads::{run_tasks, Spans};
 use std::cell::RefCell;
 use tg_matrix::{MatMut, MatRef};
 
@@ -43,6 +43,12 @@ const KC: usize = 256;
 const MC: usize = 128;
 /// Column block sized for the shared packed-B panel (`NC·KC` doubles ≈ 1 MiB).
 const NC: usize = 512;
+
+const GEMM_SPANS: Spans = Spans {
+    region: "parallel.gemm_packed",
+    worker: "gemm.worker",
+    task: "task.gemm_strip",
+};
 
 thread_local! {
     /// Per-worker scratch for packed `A` micro-panels. Lives as long as the
@@ -79,7 +85,7 @@ pub fn gemm_packed(
 }
 
 /// [`gemm_packed`] with an explicit worker-thread count (`threads <= 1`
-/// forces the serial driver). The thread count never changes the result —
+/// runs every strip inline on the calling thread). The thread count never changes the result —
 /// this entry point exists so benches and determinism tests can pin it.
 pub fn gemm_packed_with_threads(
     alpha: f64,
@@ -109,47 +115,12 @@ pub fn gemm_packed_with_threads(
         return;
     }
 
-    // shared packed-B panel, reused across (jc, pc) blocks
+    // Shared packed-B panel, reused across (jc, pc) blocks. The pc loop
+    // stays serial with a barrier after every k-block (the fan-out joins
+    // before the next pc overwrites bpack), so per-element accumulation
+    // order is exactly the serial order; one worker runs the strips inline.
     let mut bpack = vec![0.0f64; NC.div_ceil(NR) * NR * KC];
-
-    // With one worker, or a single row strip, the fan-out is pure overhead.
-    if threads <= 1 || m <= MC {
-        APACK.with(|buf| {
-            let mut apack = buf.borrow_mut();
-            ensure_len(&mut apack, MC.div_ceil(MR) * MR * KC);
-            let mut jc = 0;
-            while jc < n {
-                let nc = NC.min(n - jc);
-                let mut pc = 0;
-                while pc < k {
-                    let kc = KC.min(k - pc);
-                    pack_b(b, op_b, pc, jc, kc, nc, &mut bpack);
-                    let mut ic = 0;
-                    while ic < m {
-                        let mc = MC.min(m - ic);
-                        pack_a(a, op_a, ic, pc, mc, kc, alpha, &mut apack);
-                        let mut cblk = c.rb_mut().submatrix_mut(ic, jc, mc, nc);
-                        macro_kernel(&apack, &bpack, mc, nc, kc, &mut cblk);
-                        ic += mc;
-                    }
-                    pc += kc;
-                }
-                jc += nc;
-            }
-        });
-        return;
-    }
-
-    // Parallel driver. The pc loop stays serial with a barrier after every
-    // k-block (the par_iter joins before the next pc overwrites bpack), so
-    // per-element accumulation order is exactly the serial order.
-    let region = tg_trace::RegionId::fresh();
-    let _rspan = tg_trace::span_region(
-        "parallel.gemm_packed",
-        "region",
-        Some(("m", m as u64)),
-        region,
-    );
+    let mut lanes = vec![(); threads.max(1)];
     let mut jc = 0;
     while jc < n {
         let nc = NC.min(n - jc);
@@ -169,14 +140,7 @@ pub fn gemm_packed_with_threads(
                 rest = tail;
                 ic += mc;
             }
-            strips.into_par_iter().for_each(|(ic, mut strip)| {
-                let _g = crate::threads::enter_parallel_region();
-                let _t = tg_trace::span_region(
-                    "task.gemm_strip",
-                    "task",
-                    Some(("ic", ic as u64)),
-                    region,
-                );
+            run_tasks(GEMM_SPANS, strips, &mut lanes, |_, (ic, mut strip)| {
                 APACK.with(|buf| {
                     let mut apack = buf.borrow_mut();
                     ensure_len(&mut apack, MC.div_ceil(MR) * MR * KC);

@@ -15,10 +15,10 @@
 //!   `sb × sb` super-block grid (`sb = g·nb`); diagonal super-blocks first,
 //!   then the off-diagonal super-blocks, each of which is a **square**
 //!   `sb × sb` GEMM pair. All off-diagonal blocks are independent, so they
-//!   are dispatched to rayon.
+//!   run as one task list on [`crate::threads::run_tasks`].
 
 use crate::level3::{gemm, syr2k_ref, Op};
-use rayon::prelude::*;
+use crate::threads::{run_tasks, Spans};
 use tg_matrix::{MatMut, MatRef};
 
 fn check_shapes(a: &MatRef<'_>, b: &MatRef<'_>, c: &MatMut<'_>) -> (usize, usize) {
@@ -222,7 +222,16 @@ pub fn syr2k_square_head(
         }
     }
 
-    let run = |task: SuperBlock<'_>| {
+    // Tasks write disjoint blocks and each element is computed by exactly
+    // one task with serial inner arithmetic, so the execution order — and
+    // therefore the thread count — never changes a bit of the result.
+    let spans = Spans {
+        region: "parallel.syr2k",
+        worker: "syr2k.worker",
+        task: "task.syr2k_block",
+    };
+    let mut lanes = vec![(); crate::threads::gemm_threads()];
+    run_tasks(spans, tasks, &mut lanes, |_, task| {
         let SuperBlock { i0, j0, mut blk } = task;
         let k = a.ncols();
         let w = blk.ncols();
@@ -241,30 +250,7 @@ pub fn syr2k_square_head(
             gemm(alpha, &ai, Op::NoTrans, &bj, Op::Trans, beta, &mut blk);
             gemm(alpha, &bi, Op::NoTrans, &aj, Op::Trans, 1.0, &mut blk);
         }
-    };
-
-    // Tasks write disjoint blocks and each element is computed by exactly
-    // one task with serial inner arithmetic, so the execution order — and
-    // therefore the thread count — never changes a bit of the result.
-    if tasks.len() <= 1 || crate::threads::gemm_threads() <= 1 {
-        for task in tasks {
-            run(task);
-        }
-    } else {
-        let region = tg_trace::RegionId::fresh();
-        let _rspan =
-            tg_trace::span_region("parallel.syr2k", "region", Some(("n", n as u64)), region);
-        tasks.into_par_iter().for_each(|task| {
-            let _g = crate::threads::enter_parallel_region();
-            let _t = tg_trace::span_region(
-                "task.syr2k_block",
-                "task",
-                Some(("i0", task.i0 as u64)),
-                region,
-            );
-            run(task);
-        });
-    }
+    });
 }
 
 /// One element-disjoint task of the Figure-7 grid: the super-block of `C`

@@ -1,5 +1,6 @@
-//! The workspace's single source of truth for worker-thread counts, plus
-//! the nested-parallelism guard used by every parallel kernel in this crate.
+//! The workspace's single source of truth for worker-thread counts, the
+//! nested-parallelism guard, and [`run_tasks`] — the one fork-join engine
+//! every parallel kernel in the workspace fans out through.
 //!
 //! Everything that sizes a worker pool or *reports* a thread count — the
 //! packed-GEMM driver, the `syr2k` super-block grid, `tg_batch`'s
@@ -15,12 +16,15 @@
 //! worker calls `syr2k_square`, whose super-block tasks call `gemm`. Letting
 //! every layer fan out multiplies thread counts (workers × blocks × GEMM
 //! strips) without adding parallelism — the machine has the same number of
-//! cores. Each parallel driver therefore marks its worker closures with
-//! [`enter_parallel_region`]; inner kernels consult [`in_parallel_region`]
-//! and run serially. This is purely a scheduling decision: the serial and
-//! parallel code paths of every kernel in this crate are bitwise-identical.
+//! cores. [`run_tasks`] therefore marks every worker of a multi-worker
+//! fan-out with [`enter_parallel_region`]; inner kernels size themselves
+//! with [`gemm_threads`], which is `1` inside a region, and run inline.
+//! This is purely a scheduling decision: the serial and parallel code paths
+//! of every kernel are bitwise-identical.
 
 use std::cell::Cell;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// Rejected `TG_THREADS` configuration.
 ///
@@ -151,6 +155,121 @@ pub fn gemm_threads() -> usize {
     }
 }
 
+/// Span names for one [`run_tasks`] fan-out. The engine records them in
+/// the category taxonomy `tg_trace::timeline` reads: one `"region"` span
+/// (arg `tasks`), one `"worker"` span per lane (arg `w`), one `"task"` span
+/// per task (arg `task`, the task index), all tagged with a fresh
+/// [`tg_trace::RegionId`], plus one `"wait"` span (`join.wait`) covering
+/// the caller's join when threads were spawned.
+#[derive(Clone, Copy, Debug)]
+pub struct Spans {
+    pub region: &'static str,
+    pub worker: &'static str,
+    pub task: &'static str,
+}
+
+/// Runs `f(worker_state, task)` for every task and returns the results in
+/// task order.
+///
+/// `min(workers.len(), tasks.len())` workers run; `workers[w]` is lane
+/// `w`'s private state (scratch pools, arenas — `()` when there is none).
+/// The calling thread is lane 0, so with one worker the tasks run inline,
+/// in order, without spawning and without entering a parallel region;
+/// otherwise `workers − 1` scoped threads are spawned, every lane
+/// (including the caller) enters [`enter_parallel_region`], and lanes claim
+/// tasks in ascending order from one atomic cursor. Each lane runs one task
+/// at a time, so a task may block on another only if that one is sure to
+/// be running: a lower-numbered task (claimed earlier), or any task when
+/// there are no more tasks than workers (the bulge-chasing lanes).
+///
+/// At the join, faults fired on spawned lanes are credited to the calling
+/// thread's [`tg_check::fault::fired_on_this_thread`] count, so attribution
+/// does not depend on which lane ran a task. A panicking task propagates
+/// its panic to the caller.
+pub fn run_tasks<T, S, R, F>(spans: Spans, tasks: Vec<T>, workers: &mut [S], f: F) -> Vec<R>
+where
+    T: Send,
+    S: Send,
+    R: Send,
+    F: Fn(&mut S, T) -> R + Sync,
+{
+    let count = tasks.len();
+    if count == 0 {
+        return Vec::new();
+    }
+    assert!(!workers.is_empty(), "run_tasks needs at least one worker");
+    let lanes = workers.len().min(count);
+    let region = tg_trace::RegionId::fresh();
+    let _region_span = tg_trace::span_region(
+        spans.region,
+        "region",
+        Some(("tasks", count as u64)),
+        region,
+    );
+    let run_task = |state: &mut S, i: usize, task: T| {
+        let _t = tg_trace::span_region(spans.task, "task", Some(("task", i as u64)), region);
+        f(state, task)
+    };
+
+    if lanes == 1 {
+        let _w = tg_trace::span_region(spans.worker, "worker", Some(("w", 0)), region);
+        return tasks
+            .into_iter()
+            .enumerate()
+            .map(|(i, task)| run_task(&mut workers[0], i, task))
+            .collect();
+    }
+
+    let slots: Vec<Mutex<Option<T>>> = tasks.into_iter().map(|t| Mutex::new(Some(t))).collect();
+    // Relaxed: the cursor only hands out indices; each task itself moves
+    // to its lane through the slot's mutex.
+    let next = AtomicUsize::new(0);
+    // One lane: claim tasks until the cursor runs off the end.
+    let lane = |w: usize, state: &mut S| -> Vec<(usize, R)> {
+        let _region = enter_parallel_region();
+        let _w = tg_trace::span_region(spans.worker, "worker", Some(("w", w as u64)), region);
+        let mut done = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= count {
+                return done;
+            }
+            let task = slots[i]
+                .lock()
+                .expect("no task runs while its slot is locked")
+                .take()
+                .expect("each task is claimed once");
+            done.push((i, run_task(state, i, task)));
+        }
+    };
+
+    let (caller, spawned) = workers[..lanes].split_first_mut().expect("lanes >= 2");
+    let mut done = std::thread::scope(|scope| {
+        let handles: Vec<_> = spawned
+            .iter_mut()
+            .enumerate()
+            .map(|(w, state)| {
+                let lane = &lane;
+                scope.spawn(move || {
+                    let before = tg_check::fault::fired_on_this_thread();
+                    let done = lane(w + 1, state);
+                    (done, tg_check::fault::fired_on_this_thread() - before)
+                })
+            })
+            .collect();
+        let mut done = lane(0, caller);
+        let _wait = tg_trace::span_region("join.wait", "wait", None, region);
+        for h in handles {
+            let (theirs, fired) = h.join().unwrap_or_else(|p| std::panic::resume_unwind(p));
+            tg_check::fault::add_fired_on_this_thread(fired);
+            done.extend(theirs);
+        }
+        done
+    });
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, r)| r).collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -218,6 +337,130 @@ mod tests {
             assert!(in_parallel_region());
         }
         assert!(!in_parallel_region());
+    }
+
+    const TEST_SPANS: Spans = Spans {
+        region: "parallel.test",
+        worker: "test.worker",
+        task: "task.test",
+    };
+
+    #[test]
+    fn run_tasks_runs_each_task_once_in_task_order() {
+        for lanes in [1usize, 2, 3, 8] {
+            // Per-lane state counts the tasks each lane ran.
+            let mut ran = vec![0usize; lanes];
+            let out = run_tasks(TEST_SPANS, (0..50).collect(), &mut ran, |n, i: usize| {
+                *n += 1;
+                i * 3
+            });
+            assert_eq!(out, (0..50).map(|i| i * 3).collect::<Vec<_>>());
+            assert_eq!(ran.iter().sum::<usize>(), 50, "lanes={lanes}");
+        }
+        let none = run_tasks(TEST_SPANS, Vec::new(), &mut [(); 4], |_, i: usize| i);
+        assert!(none.is_empty());
+    }
+
+    #[test]
+    fn run_tasks_with_one_worker_runs_inline_on_the_caller() {
+        let caller = std::thread::current().id();
+        // One lane, or one task: no spawn, no parallel region.
+        for (tasks, lanes) in [(5usize, 1usize), (1, 4)] {
+            let seen = run_tasks(
+                TEST_SPANS,
+                vec![(); tasks],
+                &mut vec![(); lanes],
+                |_, ()| (std::thread::current().id(), in_parallel_region()),
+            );
+            assert!(seen.iter().all(|&(id, nested)| id == caller && !nested));
+        }
+    }
+
+    #[test]
+    fn run_tasks_nested_calls_see_one_thread() {
+        let inner = run_tasks(TEST_SPANS, vec![(); 2], &mut [(); 2], |_, ()| {
+            let threads = gemm_threads();
+            let caller = std::thread::current().id();
+            let ids = run_tasks(TEST_SPANS, vec![(); 3], &mut vec![(); threads], |_, ()| {
+                std::thread::current().id()
+            });
+            (threads, ids.iter().all(|&id| id == caller))
+        });
+        assert_eq!(inner, vec![(1, true), (1, true)]);
+        assert!(!in_parallel_region(), "guard leaked to the caller");
+    }
+
+    #[test]
+    fn run_tasks_propagates_a_task_panic() {
+        for lanes in [1usize, 3] {
+            let caught = std::panic::catch_unwind(|| {
+                run_tasks(
+                    TEST_SPANS,
+                    (0..8).collect(),
+                    &mut vec![(); lanes],
+                    |_, i: usize| {
+                        assert_ne!(i, 5, "task 5 fails");
+                    },
+                )
+            });
+            assert!(caught.is_err(), "lanes={lanes}");
+        }
+    }
+
+    #[test]
+    fn run_tasks_records_one_region_with_a_lane_per_worker() {
+        // Own span names: sibling tests run concurrently and their spans
+        // land in this process-global session too.
+        let spans = Spans {
+            region: "parallel.traced_test",
+            ..TEST_SPANS
+        };
+        let session = tg_trace::TraceSession::begin();
+        // The first three tasks meet at a barrier, so all three lanes run.
+        let barrier = std::sync::Barrier::new(3);
+        run_tasks(spans, (0..12).collect(), &mut [(); 3], |_, i: usize| {
+            if i < 3 {
+                barrier.wait();
+            }
+        });
+        let trace = session.finish();
+        let regions = trace.region_utilization();
+        let mine: Vec<_> = regions.iter().filter(|r| r.name == spans.region).collect();
+        assert_eq!(mine.len(), 1);
+        assert_eq!((mine[0].workers, mine[0].tasks), (3, 12));
+        let member = |cat: &str| {
+            let events = trace.events.iter();
+            events
+                .filter(|e| e.region == Some(mine[0].region) && e.cat == cat)
+                .count()
+        };
+        assert_eq!(
+            (member("worker"), member("task"), member("wait")),
+            (3, 12, 1)
+        );
+    }
+
+    #[test]
+    fn run_tasks_credits_spawned_faults_to_the_caller() {
+        use tg_check::fault::{fired_on_this_thread, inject, FaultKind, FaultPlan};
+        let plan = FaultPlan::single("bc.tri", FaultKind::Nan, 0);
+        let session =
+            tg_check::CheckSession::begin(tg_check::CheckConfig::strict().with_faults(plan));
+        let caller = std::thread::current().id();
+        let before = fired_on_this_thread();
+        // Two tasks that meet at a barrier land on two lanes; the fault
+        // fires on the spawned one.
+        let barrier = std::sync::Barrier::new(2);
+        run_tasks(TEST_SPANS, vec![0, 1], &mut [(); 2], |_, _: usize| {
+            barrier.wait();
+            if std::thread::current().id() != caller {
+                assert!(inject("bc.tri", &mut [1.0; 4]).is_some());
+            }
+        });
+        let fired = fired_on_this_thread() - before;
+        let report = session.finish();
+        assert_eq!(report.faults_fired.len(), 1);
+        assert_eq!(fired, 1);
     }
 
     #[test]

@@ -143,8 +143,15 @@ pub fn fired_on_this_thread() -> u64 {
     FIRED_ON_THREAD.with(|c| c.get())
 }
 
+/// Credits `n` faults that fired on another thread to the calling thread —
+/// a fork-join engine calls this at its join with each spawned worker's
+/// delta, so the count covers all work done on this thread's behalf.
+pub fn add_fired_on_this_thread(n: u64) {
+    FIRED_ON_THREAD.with(|c| c.set(c.get() + n));
+}
+
 fn bump_fired_on_thread() {
-    FIRED_ON_THREAD.with(|c| c.set(c.get() + 1));
+    add_fired_on_this_thread(1);
 }
 
 fn splitmix64(state: &mut u64) -> u64 {
@@ -357,6 +364,7 @@ mod tests {
 
     #[test]
     fn inject_fires_once_and_is_reported() {
+        let _g = crate::serial();
         let cfg =
             CheckConfig::strict().with_faults(FaultPlan::single("stage1.band", FaultKind::Nan, 5));
         let session = CheckSession::begin(cfg);
@@ -381,6 +389,7 @@ mod tests {
 
     #[test]
     fn sign_flip_scans_for_significant_victim() {
+        let _g = crate::serial();
         let cfg =
             CheckConfig::strict().with_faults(FaultPlan::single("bc.tri", FaultKind::SignFlip, 0));
         let session = CheckSession::begin(cfg);
@@ -393,6 +402,7 @@ mod tests {
 
     #[test]
     fn band_injection_lands_in_valid_slot() {
+        let _g = crate::serial();
         let cfg = CheckConfig::strict().with_faults(FaultPlan::single(
             "stage1.band",
             FaultKind::Inf,
@@ -412,6 +422,7 @@ mod tests {
 
     #[test]
     fn skip_zero_only_matches_skip_kind() {
+        let _g = crate::serial();
         let cfg = CheckConfig::strict().with_faults(FaultPlan::single(
             "arena.acquire",
             FaultKind::Nan,
@@ -435,6 +446,7 @@ mod tests {
 
     #[test]
     fn fired_count_is_per_thread_and_monotonic() {
+        let _g = crate::serial();
         let cfg = CheckConfig::strict().with_faults(FaultPlan::single("bc.tri", FaultKind::Nan, 0));
         let session = CheckSession::begin(cfg);
         let before = fired_on_this_thread();

@@ -225,6 +225,15 @@ pub(crate) fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
+/// Serializes this crate's unit tests that open a check session or assert
+/// that none is open — sessions are process-global, so a sibling test's
+/// live session would otherwise show through.
+#[cfg(test)]
+pub(crate) fn serial() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    lock_unpoisoned(&LOCK)
+}
+
 /// Whether a check session is currently live. One relaxed atomic load —
 /// this is the entire cost of every hook when verification is off.
 #[inline]
@@ -404,6 +413,7 @@ mod tests {
 
     #[test]
     fn disabled_hooks_are_inert() {
+        let _g = crate::serial();
         // no session: hooks must do nothing and record nothing
         assert!(!enabled());
         stage_tridiag(&Tridiagonal::new(vec![f64::NAN], vec![]));
@@ -415,6 +425,7 @@ mod tests {
 
     #[test]
     fn session_records_pass_and_fail() {
+        let _g = crate::serial();
         let session = CheckSession::begin(CheckConfig::strict());
         stage_tridiag(&Tridiagonal::new(vec![1.0, 2.0], vec![0.5]));
         stage_tridiag(&Tridiagonal::new(vec![1.0, f64::NAN], vec![0.5]));
@@ -431,6 +442,7 @@ mod tests {
 
     #[test]
     fn check_counters_mirror_into_trace() {
+        let _g = crate::serial();
         let trace_session = tg_trace::TraceSession::begin();
         let session = CheckSession::begin(CheckConfig::strict());
         stage_tridiag(&Tridiagonal::new(vec![1.0], vec![]));
@@ -443,6 +455,7 @@ mod tests {
 
     #[test]
     fn panic_on_violation_panics_at_call_site() {
+        let _g = crate::serial();
         let result = std::panic::catch_unwind(|| {
             let cfg = CheckConfig {
                 panic_on_violation: true,
@@ -461,6 +474,7 @@ mod tests {
 
     #[test]
     fn deep_flag_tracks_session() {
+        let _g = crate::serial();
         assert!(!deep_enabled());
         let s = CheckSession::begin(CheckConfig::fast());
         assert!(enabled());

@@ -13,8 +13,8 @@
 //!   merged `W`s.
 //! * [`apply_q1_blocked_ws`] — the production path: the merge runs **once**
 //!   with pool-backed scratch ([`merge_q1_blocked_ws`]), then the merged
-//!   read-only blocks are applied to fixed-width *column panels* of `C` on
-//!   a scoped worker pool ([`apply_blocks_panels`]).
+//!   read-only blocks are applied to fixed-width *column panels* of `C` as
+//!   one task list ([`apply_blocks_panels`]).
 //!
 //! # Why panels split columns, never the factor product
 //!
@@ -30,10 +30,8 @@
 //! `TG_THREADS`. The serial path is literally the same panels applied in
 //! order.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-
 use crate::workspace::{CachingPool, WorkspacePool};
+use tg_blas::threads::{run_tasks, Spans};
 use tg_blas::{gemm, gemm_into, Op};
 use tg_householder::wblock::{merge_to_width, merge_to_width_ws, WyPair};
 use tg_matrix::{Mat, MatMut};
@@ -234,15 +232,16 @@ impl PanelPools {
 
 /// Applies the ordered block-factor product `F₁F₂⋯F_p` (each entry
 /// `(offset, I − WYᵀ)`) to `C` from the left, partitioned into
-/// [`PANEL_COLS`]-wide column panels drained by `workers` scoped threads.
+/// [`PANEL_COLS`]-wide column panels drained by `workers` lanes of
+/// [`tg_blas::threads::run_tasks`].
 ///
 /// The blocks are shared read-only; each panel applies the full product in
-/// reverse order with its worker's private [`CachingPool`] supplying the
+/// reverse order with its lane's private [`CachingPool`] supplying the
 /// `YᵀC` scratch. Panel boundaries are independent of `workers`, so the
-/// result is bitwise-identical for every worker count (the `workers == 1`
-/// path is the same panels in order on the calling thread). Workers enter
-/// the `tg_blas::threads` nested-fan-out guard so inner GEMMs stay serial
-/// (PR 5 pattern); a single worker keeps intra-kernel parallelism.
+/// result is bitwise-identical for every worker count (one worker applies
+/// the same panels in order on the calling thread). Lanes of a multi-worker
+/// fan-out enter the `tg_blas::threads` nested-fan-out guard so inner GEMMs
+/// stay serial; a single worker keeps intra-kernel parallelism.
 pub fn apply_blocks_panels(
     blocks: &[(usize, WyPair)],
     c: &mut Mat,
@@ -253,12 +252,8 @@ pub fn apply_blocks_panels(
     if blocks.is_empty() || ncols == 0 {
         return;
     }
-    let n_panels = ncols.div_ceil(PANEL_COLS);
-    let workers = workers.max(1).min(n_panels);
-    let pools = panel_pools.for_workers(workers);
-
     // Carve C into disjoint fixed-width column panels.
-    let mut panels: Vec<MatMut<'_>> = Vec::with_capacity(n_panels);
+    let mut panels: Vec<MatMut<'_>> = Vec::with_capacity(ncols.div_ceil(PANEL_COLS));
     let mut rest = c.view_mut(0, 0, c.nrows(), ncols);
     while rest.ncols() > 0 {
         let w = rest.ncols().min(PANEL_COLS);
@@ -266,63 +261,18 @@ pub fn apply_blocks_panels(
         panels.push(p);
         rest = r;
     }
-
-    if workers == 1 {
-        for (idx, panel) in panels.iter_mut().enumerate() {
-            let _t = tg_trace::span_cat("backtransform.panel", "task", Some(("panel", idx as u64)));
-            apply_blocks_to_panel(blocks, panel, &mut pools[0]);
-        }
-        return;
-    }
-
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<MatMut<'_>>>> =
-        panels.into_iter().map(|p| Mutex::new(Some(p))).collect();
-    let region = tg_trace::RegionId::fresh();
-    let _rspan = tg_trace::span_region(
-        "parallel.backtransform",
-        "region",
-        Some(("panels", n_panels as u64)),
-        region,
+    let workers = workers.max(1).min(panels.len());
+    let spans = Spans {
+        region: "parallel.backtransform",
+        worker: "backtransform.worker",
+        task: "backtransform.panel",
+    };
+    run_tasks(
+        spans,
+        panels,
+        panel_pools.for_workers(workers),
+        |pool, mut panel| apply_blocks_to_panel(blocks, &mut panel, pool),
     );
-    std::thread::scope(|s| {
-        for (wid, pool) in pools.iter_mut().enumerate() {
-            let (next, slots) = (&next, &slots);
-            s.spawn(move || {
-                // Parallelism budget is spent across panels: keep the BLAS
-                // kernels inside each panel serial (bitwise-identical
-                // either way) instead of nesting a second fan-out.
-                let _region = tg_blas::threads::enter_parallel_region();
-                let _wspan = tg_trace::span_region(
-                    "backtransform.worker",
-                    "worker",
-                    Some(("w", wid as u64)),
-                    region,
-                );
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= slots.len() {
-                        break;
-                    }
-                    let mut panel = lock_unpoisoned(&slots[i])
-                        .take()
-                        .expect("each panel claimed once");
-                    let _t = tg_trace::span_region(
-                        "backtransform.panel",
-                        "task",
-                        Some(("panel", i as u64)),
-                        region,
-                    );
-                    apply_blocks_to_panel(blocks, &mut panel, pool);
-                }
-            });
-        }
-    });
-}
-
-/// A panicking panel worker must not wedge its siblings' slot access.
-fn lock_unpoisoned<'a, T>(m: &'a Mutex<T>) -> std::sync::MutexGuard<'a, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// One panel's work: the full ordered product, reverse order, pooled

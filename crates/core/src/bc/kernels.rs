@@ -188,135 +188,6 @@ pub unsafe fn two_sided_apply(band: &SharedBand, tau: f64, v: &[f64], r0: usize)
     }
 }
 
-/// Resumable position of one bulge-chasing sweep: the task sequence of
-/// Algorithm 2, one [`run_sweep_task`] call per task.
-pub struct SweepCursor {
-    n: usize,
-    b: usize,
-    s: usize,
-    state: CursorState,
-}
-
-enum CursorState {
-    /// Task 0 (kernel type 1) not yet executed.
-    Start,
-    /// Mid-chase: the previous task's reflector and span.
-    Chasing {
-        prev_first: usize,
-        prev_last: usize,
-        prev_tau: f64,
-        prev_v: Vec<f64>,
-    },
-    Done,
-}
-
-impl SweepCursor {
-    /// Creates a cursor for sweep `s` of an `n × n` band of width `b`.
-    pub fn new(n: usize, b: usize, s: usize) -> Self {
-        let state = if s + 2 >= n || b <= 1 {
-            CursorState::Done // nothing below the first subdiagonal
-        } else {
-            tg_trace::add(tg_trace::Counter::Sweeps, 1);
-            CursorState::Start
-        };
-        SweepCursor { n, b, s, state }
-    }
-
-    /// True once the sweep has chased its bulge off the band.
-    pub fn done(&self) -> bool {
-        matches!(self.state, CursorState::Done)
-    }
-
-    /// The column the *next* task will annihilate (the Algorithm-2 gate
-    /// value). Must not be called on a finished cursor.
-    pub fn next_col(&self) -> usize {
-        match &self.state {
-            CursorState::Start => self.s,
-            CursorState::Chasing { prev_first, .. } => *prev_first,
-            CursorState::Done => unreachable!("next_col on a finished sweep"),
-        }
-    }
-}
-
-/// Executes the cursor's next task; returns its reflector.
-///
-/// # Safety
-/// The caller must hold exclusive logical access to the task's
-/// `[next_col, next_col + 2b)` index window (Algorithm-2 protocol).
-pub unsafe fn run_sweep_task(
-    band: &SharedBand,
-    cur: &mut SweepCursor,
-) -> Option<super::BcReflector> {
-    let (n, b, s) = (cur.n, cur.b, cur.s);
-    if !cur.done() {
-        tg_trace::add(tg_trace::Counter::BulgeTasks, 1);
-    }
-    match std::mem::replace(&mut cur.state, CursorState::Done) {
-        CursorState::Done => None,
-        CursorState::Start => {
-            // ── task 0 (kernel type 1): eliminate column s
-            let first = s + 1;
-            let last = (s + b).min(n - 1);
-            let (tau, v) = reflector_from_col(band, s, first, last);
-            two_sided_apply(band, tau, &v, first);
-            let refl = super::BcReflector {
-                col: s,
-                row0: first,
-                tau,
-                v: v.clone(),
-            };
-            cur.state = if last + 1 > n - 1 {
-                CursorState::Done
-            } else {
-                CursorState::Chasing {
-                    prev_first: first,
-                    prev_last: last,
-                    prev_tau: tau,
-                    prev_v: v,
-                }
-            };
-            Some(refl)
-        }
-        CursorState::Chasing {
-            prev_first,
-            prev_last,
-            prev_tau,
-            prev_v,
-        } => {
-            // ── chase task (kernel types 2 + 3)
-            let r0 = prev_last + 1;
-            let r1 = (prev_last + b).min(n - 1);
-            let col = prev_first;
-            // type 2a: right-apply the previous reflector — materializes
-            // the bulge
-            right_apply(band, prev_tau, &prev_v, prev_first, r0, r1);
-            // type 2b: annihilate the bulge's first column
-            let (tau, v) = reflector_from_col(band, col, r0, r1);
-            // type 2c: left-apply to the rest of the bulge block
-            left_apply(band, tau, &v, r0, col + 1, prev_last);
-            // type 3: two-sided update of the next diagonal block
-            two_sided_apply(band, tau, &v, r0);
-            let refl = super::BcReflector {
-                col,
-                row0: r0,
-                tau,
-                v: v.clone(),
-            };
-            cur.state = if r1 + 1 > n - 1 {
-                CursorState::Done
-            } else {
-                CursorState::Chasing {
-                    prev_first: r0,
-                    prev_last: r1,
-                    prev_tau: tau,
-                    prev_v: v,
-                }
-            };
-            Some(refl)
-        }
-    }
-}
-
 /// Executes one full sweep `s` of bulge chasing (Algorithm 2 body).
 ///
 /// `gate(col)` is invoked before each task with the task's working column —
@@ -335,13 +206,46 @@ pub unsafe fn run_sweep(
     s: usize,
     mut gate: impl FnMut(usize),
 ) -> Vec<super::BcReflector> {
-    let mut cur = SweepCursor::new(band.n, b, s);
-    let mut out = Vec::new();
-    while !cur.done() {
-        gate(cur.next_col());
-        if let Some(r) = run_sweep_task(band, &mut cur) {
-            out.push(r);
-        }
+    let n = band.n;
+    if s + 2 >= n || b <= 1 {
+        return Vec::new(); // nothing below the first subdiagonal
+    }
+    tg_trace::add(tg_trace::Counter::Sweeps, 1);
+
+    // ── task 0 (kernel type 1): eliminate column s
+    gate(s);
+    tg_trace::add(tg_trace::Counter::BulgeTasks, 1);
+    let (mut first, mut last) = (s + 1, (s + b).min(n - 1));
+    let (mut tau, mut v) = reflector_from_col(band, s, first, last);
+    two_sided_apply(band, tau, &v, first);
+    let mut out = vec![super::BcReflector {
+        col: s,
+        row0: first,
+        tau,
+        v: v.clone(),
+    }];
+
+    // ── chase tasks (kernel types 2 + 3), until the bulge leaves the band
+    while last + 1 < n {
+        gate(first);
+        tg_trace::add(tg_trace::Counter::BulgeTasks, 1);
+        let (r0, r1, col) = (last + 1, (last + b).min(n - 1), first);
+        // type 2a: right-apply the previous reflector — materializes the
+        // bulge
+        right_apply(band, tau, &v, first, r0, r1);
+        // type 2b: annihilate the bulge's first column
+        let (next_tau, next_v) = reflector_from_col(band, col, r0, r1);
+        // type 2c: left-apply to the rest of the bulge block
+        left_apply(band, next_tau, &next_v, r0, col + 1, last);
+        // type 3: two-sided update of the next diagonal block
+        two_sided_apply(band, next_tau, &next_v, r0);
+        out.push(super::BcReflector {
+            col,
+            row0: r0,
+            tau: next_tau,
+            v: next_v.clone(),
+        });
+        (first, last, tau, v) = (r0, r1, next_tau, next_v);
     }
     out
 }

@@ -15,12 +15,10 @@
 //! makes every task's inputs independent of scheduling.
 
 pub mod backward;
-pub mod grouped;
 pub mod kernels;
 pub mod pipeline;
 pub mod seq;
 
-pub use grouped::bulge_chase_grouped;
 pub use pipeline::bulge_chase_pipelined;
 pub use seq::bulge_chase_seq;
 

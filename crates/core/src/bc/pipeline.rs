@@ -3,11 +3,14 @@
 //! Every sweep is an independent task; sweep `s` may run concurrently with
 //! sweep `s − 1` as long as it stays at least `2b` rows behind. On the GPU
 //! the paper launches `n − 2` thread blocks that spin on a `volatile`
-//! progress array; here a pool of `S` worker threads executes sweeps
-//! round-robin (worker `w` runs sweeps `w, w + S, …` in order), spinning on
-//! an `AtomicUsize` progress array with acquire/release ordering — the same
-//! protocol, with Rust's memory model supplying what CUDA `volatile` + L2
-//! supplies on the device.
+//! progress array; here `S` lanes of [`tg_blas::threads::run_tasks`]
+//! execute sweeps round-robin (lane task `w` runs sweeps `w, w + S, …` in
+//! order), spinning on an `AtomicUsize` progress array with
+//! acquire/release ordering — the same protocol, with Rust's memory model
+//! supplying what CUDA `volatile` + L2 supplies on the device. There are
+//! as many lane tasks as workers, so every lane task gets its own worker:
+//! a lane blocked at its gate waits on a lane that is running or has yet
+//! to be claimed by an idle worker, never on one queued behind it.
 //!
 //! The protocol makes the computation *deterministic*: any interleaving
 //! permitted by the gates yields bitwise-identical results to the
@@ -18,6 +21,7 @@ use super::kernels::{run_sweep, SharedBand};
 use super::seq::{band_scale, widen_storage};
 use super::{BcReflector, BcResult};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use tg_blas::threads::{run_tasks, Spans};
 use tg_matrix::SymBand;
 
 /// Progress value published by a finished sweep.
@@ -26,7 +30,8 @@ const DONE: usize = usize::MAX / 2;
 /// Reduces a symmetric band matrix to tridiagonal form using `parallel_sweeps`
 /// concurrent sweeps (the paper's `S`).
 ///
-/// `parallel_sweeps = 1` still exercises the gate protocol on one worker.
+/// `parallel_sweeps = 1` still exercises the gate protocol, inline on the
+/// calling thread.
 pub fn bulge_chase_pipelined(band: &SymBand, parallel_sweeps: usize) -> BcResult {
     let n = band.n();
     let b = band.kd().max(1);
@@ -37,77 +42,55 @@ pub fn bulge_chase_pipelined(band: &SymBand, parallel_sweeps: usize) -> BcResult
 
     if n_sweeps > 0 {
         let _span = tg_trace::span_cat("bc.pipeline", "stage", Some(("n", n as u64)));
-        let region = tg_trace::RegionId::fresh();
-        let _rspan = tg_trace::span_region(
-            "parallel.bc",
-            "region",
-            Some(("sweeps", n_sweeps as u64)),
-            region,
-        );
         let shared = SharedBand::new(&mut work);
         // progress[s] = first row/col index sweep s may still write;
         // initialized to the sweep's starting column.
         let progress: Vec<AtomicUsize> = (0..n_sweeps).map(AtomicUsize::new).collect();
-        let workers = parallel_sweeps.min(n_sweeps);
-
-        let mut results: Vec<(usize, Vec<BcReflector>)> = Vec::with_capacity(n_sweeps);
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(workers);
-            for w in 0..workers {
-                let progress = &progress;
-                let shared = &shared;
-                handles.push(scope.spawn(move || {
-                    let mut mine: Vec<(usize, Vec<BcReflector>)> = Vec::new();
-                    let mut s = w;
-                    while s < n_sweeps {
-                        let _sweep = tg_trace::span_region(
-                            "bc.sweep",
-                            "task",
-                            Some(("s", s as u64)),
-                            region,
-                        );
-                        let gate = |col: usize| {
-                            if s > 0 {
-                                // Algorithm 2 line 5: spin until the previous
-                                // sweep is more than 2b rows ahead. A stall is
-                                // recorded as a wait span (subtracted from
-                                // busy time in utilization analysis); opening
-                                // it only after the first failed poll keeps
-                                // the uncontended path span-free.
-                                if progress[s - 1].load(Ordering::Acquire) <= col + 2 * b {
-                                    let _wait = tg_trace::span_region(
-                                        "bc.wait",
-                                        "wait",
-                                        Some(("s", s as u64)),
-                                        region,
-                                    );
-                                    while progress[s - 1].load(Ordering::Acquire) <= col + 2 * b {
-                                        std::hint::spin_loop();
-                                        std::thread::yield_now();
-                                    }
-                                }
+        let spans = Spans {
+            region: "parallel.bc",
+            worker: "bc.worker",
+            task: "bc.lane",
+        };
+        let lanes = parallel_sweeps.min(n_sweeps);
+        let lanes_out = run_tasks(spans, (0..lanes).collect(), &mut vec![(); lanes], |_, w| {
+            let mut mine = Vec::new();
+            for s in (w..n_sweeps).step_by(lanes) {
+                let _sweep = tg_trace::span_cat("bc.sweep", "sweep", Some(("s", s as u64)));
+                let gate = |col: usize| {
+                    if s > 0 {
+                        // Algorithm 2 line 5: spin until the previous sweep
+                        // is more than 2b rows ahead. A stall is recorded as
+                        // a wait span (subtracted from busy time in
+                        // utilization analysis); opening it only after the
+                        // first failed poll keeps the uncontended path
+                        // span-free.
+                        if progress[s - 1].load(Ordering::Acquire) <= col + 2 * b {
+                            let _wait = tg_trace::span_region(
+                                "bc.wait",
+                                "wait",
+                                Some(("s", s as u64)),
+                                tg_trace::current_region(),
+                            );
+                            while progress[s - 1].load(Ordering::Acquire) <= col + 2 * b {
+                                std::hint::spin_loop();
+                                std::thread::yield_now();
                             }
-                            // Algorithm 2 line 14: publish the working row.
-                            progress[s].store(col, Ordering::Release);
-                        };
-                        // SAFETY: the gate enforces ≥ 2b spacing between
-                        // concurrently-running sweeps, so all kernel writes
-                        // within a task touch storage no other live task can
-                        // touch (tasks write window [col, col + 2b − 1]).
-                        let swept = unsafe { run_sweep(shared, b, s, gate) };
-                        progress[s].store(DONE, Ordering::Release);
-                        mine.push((s, swept));
-                        s += workers;
+                        }
                     }
-                    mine
-                }));
+                    // Algorithm 2 line 14: publish the working row.
+                    progress[s].store(col, Ordering::Release);
+                };
+                // SAFETY: the gate enforces ≥ 2b spacing between
+                // concurrently-running sweeps, so all kernel writes within
+                // a task touch storage no other live task can touch (tasks
+                // write window [col, col + 2b − 1]).
+                let swept = unsafe { run_sweep(&shared, b, s, gate) };
+                progress[s].store(DONE, Ordering::Release);
+                mine.push((s, swept));
             }
-            for h in handles {
-                results.extend(h.join().expect("bulge-chasing worker panicked"));
-            }
+            mine
         });
-
-        for (s, swept) in results {
+        for (s, swept) in lanes_out.into_iter().flatten() {
             reflectors[s] = swept;
         }
     }

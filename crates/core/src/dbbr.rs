@@ -18,12 +18,13 @@
 use crate::sbr::BandReduction;
 use crate::workspace::{AllocPool, WorkspacePool};
 use tg_blas::level3::symm_lower;
+use tg_blas::threads::{run_tasks, Spans};
 use tg_blas::{
     gemm, gemm_into, syr2k_blocked, syr2k_blocked_head, syr2k_square, syr2k_square_head, Op,
 };
 use tg_householder::panel::panel_qr;
 use tg_householder::wblock::WyPair;
-use tg_matrix::{Mat, SymBand};
+use tg_matrix::{Mat, MatMut, SymBand};
 
 /// Configuration for [`dbbr`].
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -38,9 +39,9 @@ pub struct DbbrConfig {
     /// Use the Figure-7 square-block `syr2k` for the trailing update
     /// (the paper's §5.1 optimization) instead of the conventional one.
     pub square_syr2k: bool,
-    /// Depth-1 look-ahead: factorize the next outer block's first panel on
-    /// a dedicated worker while the remainder of the deferred trailing
-    /// update runs. Bitwise-identical output either way (see
+    /// Depth-1 look-ahead: factorize the next outer block's first panel
+    /// concurrently with the remainder of the deferred trailing update (a
+    /// two-task fan-out). Bitwise-identical output either way (see
     /// `docs/PERFORMANCE.md`, "Stage-1 look-ahead").
     pub lookahead: bool,
 }
@@ -130,8 +131,8 @@ pub fn dbbr_ws(a: &mut Mat, cfg: &DbbrConfig, pool: &mut dyn WorkspacePool) -> B
     let mut factors: Vec<(usize, WyPair)> = Vec::new();
 
     // Depth-1 look-ahead state: the `(W, Y)` pair of the next outer
-    // block's first panel, factorized by a worker while the previous
-    // trailing update ran (see the trailing section below).
+    // block's first panel, factorized concurrently with the previous
+    // trailing update (see the trailing section below).
     let mut pending: Option<(Mat, Mat)> = None;
 
     let mut i = 0;
@@ -147,7 +148,7 @@ pub fn dbbr_ws(a: &mut Mat, cfg: &DbbrConfig, pool: &mut dyn WorkspacePool) -> B
             // ── lines 5–12: obtain this panel's `(W, Y)`. Normally that is
             //    the just-in-time update followed by the panel QR, done
             //    right here; with look-ahead the first panel of this outer
-            //    block was already updated and factorized by the worker
+            //    block was already updated and factorized by the task
             //    that overlapped the previous trailing `syr2k`.
             let (w, y) = match pending.take() {
                 Some(wy) => wy,
@@ -262,8 +263,8 @@ pub fn dbbr_ws(a: &mut Mat, cfg: &DbbrConfig, pool: &mut dyn WorkspacePool) -> B
         // With look-ahead on, the update is split at a task-aligned column
         // boundary `split ≥ b`: the head strip (which contains the next
         // outer block's first panel) is updated first, then that panel is
-        // QR-factorized on a dedicated worker *concurrently* with the tail
-        // of the update. The head/tail split and the worker's serial
+        // QR-factorized *concurrently* with the tail of the update, as a
+        // two-task fan-out. The head/tail split and the lanes' serial
         // dispatch are both bitwise-identical to the unsplit serial path
         // (see `syr2k_square_head` and `docs/PERFORMANCE.md`).
         let t0 = j;
@@ -293,61 +294,44 @@ pub fn dbbr_ws(a: &mut Mat, cfg: &DbbrConfig, pool: &mut dyn WorkspacePool) -> B
                 let ytail = ybig.view(t0 - i - b + split, 0, mt - split, kacc);
                 // Carve the trailing view into the (now fully updated)
                 // next panel and the square tail — element-disjoint, so
-                // the worker and the pool can mutate them concurrently.
+                // the two tasks can mutate them concurrently.
                 let trail = a.view_mut(t0, t0, mt, mt);
                 let (panel_cols, rest) = trail.split_at_col(b);
-                let (_band_rows, mut panel) = panel_cols.split_at_row(b);
+                let (_band_rows, panel) = panel_cols.split_at_row(b);
                 let (_head_cols, tail_cols) = rest.split_at_col(split - b);
-                let (_head_rows, mut tail) = tail_cols.split_at_row(split);
-                let region = tg_trace::RegionId::fresh();
-                let _rspan = tg_trace::span_region(
-                    "parallel.stage1",
-                    "region",
-                    Some(("t0", t0 as u64)),
-                    region,
-                );
-                pending = std::thread::scope(|scope| {
-                    let worker = scope.spawn(move || {
-                        // Serial dispatch inside the worker: its GEMMs are
-                        // bitwise-identical to the parallel ones (the PR 5
-                        // contract), and the pool stays free for the tail.
-                        let _nested = tg_blas::threads::enter_parallel_region();
-                        let _lane = tg_trace::span_region(
-                            "stage1.lookahead_worker",
-                            "worker",
-                            None,
-                            region,
-                        );
-                        let _task =
-                            tg_trace::span_region("task.stage1_panel", "task", None, region);
+                let (_head_rows, tail) = tail_cols.split_at_row(split);
+                // Two overlapped tasks on two lanes: factorize the next
+                // panel, and update the tail. Both lanes dispatch their
+                // BLAS serially inside the engine's parallel region —
+                // bitwise-identical to the parallel dispatch.
+                let spans = Spans {
+                    region: "parallel.stage1",
+                    worker: "stage1.worker",
+                    task: "task.stage1",
+                };
+                let tasks = vec![Stage1Task::Panel(panel), Stage1Task::Tail(tail)];
+                let outs = run_tasks(spans, tasks, &mut [(); 2], |_, task| match task {
+                    Stage1Task::Panel(mut panel) => {
+                        let _t = tg_trace::span_cat("task.stage1_panel", "task", None);
                         let mp = panel.nrows();
                         let pq = panel_qr(&mut panel);
                         for c in 0..b {
                             let col = panel.col_mut(c);
                             col[(c + 1)..mp].fill(0.0);
                         }
-                        (pq.block.w(), pq.block.v.clone())
-                    });
-                    {
-                        let _task = tg_trace::span_region("task.stage1_tail", "task", None, region);
+                        Some((pq.block.w(), pq.block.v.clone()))
+                    }
+                    Stage1Task::Tail(mut tail) => {
+                        let _t = tg_trace::span_cat("task.stage1_tail", "task", None);
                         if cfg.square_syr2k {
                             syr2k_square(-1.0, &ztail, &ytail, 1.0, &mut tail, cfg.nb_syr2k, 2);
                         } else {
                             syr2k_blocked(-1.0, &ztail, &ytail, 1.0, &mut tail, cfg.nb_syr2k);
                         }
+                        None
                     }
-                    let wait_from = std::time::Instant::now();
-                    let wy = worker.join().expect("look-ahead panel worker panicked");
-                    tg_trace::record_span(
-                        "stage1.wait_panel",
-                        "wait",
-                        None,
-                        wait_from,
-                        std::time::Instant::now(),
-                        region,
-                    );
-                    Some(wy)
                 });
+                pending = outs.into_iter().flatten().next();
             } else {
                 let zt = zbig.view(t0 - i - b, 0, mt, kacc);
                 let yt = ybig.view(t0 - i - b, 0, mt, kacc);
@@ -370,6 +354,14 @@ pub fn dbbr_ws(a: &mut Mat, cfg: &DbbrConfig, pool: &mut dyn WorkspacePool) -> B
         factors,
         b,
     }
+}
+
+/// The two element-disjoint halves of a look-ahead step.
+enum Stage1Task<'a> {
+    /// The next outer block's first panel, to factorize.
+    Panel(MatMut<'a>),
+    /// The trailing square past the head strip, to update.
+    Tail(MatMut<'a>),
 }
 
 #[cfg(test)]

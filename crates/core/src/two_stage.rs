@@ -11,7 +11,7 @@
 use crate::backtransform::{
     apply_q1, apply_q1_blocked, merge_q1_blocked_ws, release_blocks, PanelPools,
 };
-use crate::bc::{bulge_chase_grouped, bulge_chase_pipelined, bulge_chase_seq, BcResult};
+use crate::bc::{bulge_chase_pipelined, bulge_chase_seq, BcResult};
 use crate::dbbr::{dbbr_ws, DbbrConfig};
 use crate::sbr::band_reduce;
 use crate::sytrd::{sytrd_blocked, SytrdResult};
@@ -32,13 +32,6 @@ pub enum Method {
     Dbbr {
         cfg: DbbrConfig,
         parallel_sweeps: usize,
-    },
-    /// Like [`Method::Dbbr`] but with the §5.2 sweep-grouped bulge-chasing
-    /// schedule (`workers × group` logical parallel sweeps).
-    DbbrGrouped {
-        cfg: DbbrConfig,
-        workers: usize,
-        group: usize,
     },
 }
 
@@ -120,8 +113,8 @@ impl TridiagResult {
 
     /// The production back transformation (Figure 13 made parallel):
     /// [`Self::apply_q_blocked`] with every temporary pool-backed and the
-    /// apply partitioned into eigenvector column panels drained by a
-    /// scoped worker pool sized by `tg_blas::threads::worker_threads`.
+    /// apply partitioned into eigenvector column panels drained by
+    /// `tg_blas::threads::gemm_threads` fork-join lanes.
     ///
     /// The grouped Q₂ blocks and merged width-`target_k` Q₁ blocks are built
     /// **once** from `pool`, shared read-only across all panels, and
@@ -247,24 +240,6 @@ pub fn tridiagonalize_ws(
             tg_check::fault::inject_band("stage1.band", &mut red.band);
             tg_check::stage_band(&red.band, cfg.b);
             let bc = bulge_chase_pipelined(&red.band, (*parallel_sweeps).max(1));
-            TridiagResult {
-                tri: bc.tri.clone(),
-                n,
-                q: QFactors::TwoStage {
-                    factors: red.factors,
-                    bc,
-                },
-            }
-        }
-        Method::DbbrGrouped {
-            cfg,
-            workers,
-            group,
-        } => {
-            let mut red = dbbr_ws(a, cfg, pool);
-            tg_check::fault::inject_band("stage1.band", &mut red.band);
-            tg_check::stage_band(&red.band, cfg.b);
-            let bc = bulge_chase_grouped(&red.band, (*workers).max(1), (*group).max(1));
             TridiagResult {
                 tri: bc.tri.clone(),
                 n,
@@ -445,32 +420,6 @@ mod tests {
         let mut c = c0.clone();
         res.apply_q(&mut c);
         assert!(tg_matrix::max_abs_diff(&expect, &c) < 1e-11);
-    }
-
-    #[test]
-    fn grouped_method_matches_plain_dbbr() {
-        let n = 30;
-        let a0 = gen::random_symmetric(n, 40);
-        let cfg = DbbrConfig::new(3, 6);
-        let t1 = tridiagonalize(
-            &mut a0.clone(),
-            &Method::Dbbr {
-                cfg: cfg.clone(),
-                parallel_sweeps: 2,
-            },
-        )
-        .tri;
-        let t2 = tridiagonalize(
-            &mut a0.clone(),
-            &Method::DbbrGrouped {
-                cfg,
-                workers: 2,
-                group: 3,
-            },
-        )
-        .tri;
-        assert_eq!(t1.d, t2.d);
-        assert_eq!(t1.e, t2.e);
     }
 
     #[test]

@@ -14,11 +14,15 @@
 //! 3. the Gu–Eisenstat `z̃` reconstruction gives numerically orthogonal
 //!    eigenvectors, and one GEMM maps them back through the children's `Q`.
 //!
-//! The two children are solved in parallel with `rayon::join`.
+//! The two children are solved as a two-task fan-out on
+//! [`tg_blas::threads::run_tasks`]; workers of a multi-lane fan-out enter
+//! the nested-parallelism region, so only the top split runs in parallel
+//! and the recursion below it (and its merge GEMMs) stays on its lane.
 
 use crate::secular;
 use crate::steqr::steqr;
 use crate::EigenError;
+use tg_blas::threads::{run_tasks, Spans};
 use tg_blas::{gemm, Op};
 use tg_matrix::{Mat, Tridiagonal};
 
@@ -43,19 +47,10 @@ pub fn stedc(t: &Tridiagonal) -> Result<(Vec<f64>, Mat), EigenError> {
     if n == 0 {
         return Ok((Vec::new(), Mat::zeros(0, 0)));
     }
-    // Region-mark only the top-level split: the recursion below it reuses
-    // the same two rayon workers, so deeper joins add no parallelism worth
-    // a lane of their own in the timeline.
-    let region = tg_trace::RegionId::fresh();
-    let _rspan = tg_trace::span_region("parallel.dc", "region", Some(("n", n as u64)), region);
-    dc_solve(&t.d, &t.e, region)
+    dc_solve(&t.d, &t.e)
 }
 
-fn dc_solve(
-    d: &[f64],
-    e: &[f64],
-    region: Option<tg_trace::RegionId>,
-) -> Result<(Vec<f64>, Mat), EigenError> {
+fn dc_solve(d: &[f64], e: &[f64]) -> Result<(Vec<f64>, Mat), EigenError> {
     let n = d.len();
     if n <= SMLSIZ {
         return steqr(&Tridiagonal::new(d.to_vec(), e.to_vec()));
@@ -71,22 +66,16 @@ fn dc_solve(
     d2[0] -= beta;
     let e2 = e[m..].to_vec();
 
-    let (left, right) = rayon::join(
-        || {
-            let _t = region.is_some().then(|| {
-                tg_trace::span_region("task.dc_half", "task", Some(("m", m as u64)), region)
-            });
-            dc_solve(&d1, &e1, None)
-        },
-        || {
-            let _t = region.is_some().then(|| {
-                tg_trace::span_region("task.dc_half", "task", Some(("m", (n - m) as u64)), region)
-            });
-            dc_solve(&d2, &e2, None)
-        },
-    );
-    let (lam1, q1) = left?;
-    let (lam2, q2) = right?;
+    let spans = Spans {
+        region: "parallel.dc",
+        worker: "dc.worker",
+        task: "task.dc_half",
+    };
+    let halves = vec![(d1, e1), (d2, e2)];
+    let mut lanes = vec![(); tg_blas::threads::gemm_threads()];
+    let mut solved = run_tasks(spans, halves, &mut lanes, |_, (d, e)| dc_solve(&d, &e)).into_iter();
+    let (lam1, q1) = solved.next().expect("left half")?;
+    let (lam2, q2) = solved.next().expect("right half")?;
 
     // block-diagonal Q, concatenated spectra, and the coupling vector
     // z = Qᵀ q = [last row of Q₁ ; first row of Q₂]

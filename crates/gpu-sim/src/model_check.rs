@@ -200,8 +200,8 @@ pub const UTILIZATION_TOL: f64 = 0.05;
 ///
 /// A third row runs the *real* `tg-batch` scheduler under a trace and
 /// checks that the `parallel.batch` region reports exactly the worker
-/// lanes the scheduler spawned (worker spans are recorded per spawned
-/// thread, so this count is deterministic even on one core).
+/// lanes the scheduler ran (the fork-join engine records one worker span
+/// per lane, so this count is deterministic even on one core).
 ///
 /// [`PipelineStats::avg_parallelism`]: crate::pipeline::PipelineStats
 pub fn check_utilization(n: usize, b: usize, s_max: usize) -> Vec<ModelRow> {
@@ -273,8 +273,8 @@ pub fn check_utilization(n: usize, b: usize, s_max: usize) -> Vec<ModelRow> {
 ///   exact grouping/padding/level control flow from the factor footprints
 ///   — counter and model must agree to rounding;
 /// * `worker_lanes` — the `parallel.backtransform` region must report
-///   exactly the panel workers that were spawned (worker spans are
-///   recorded per thread, deterministic even on one core);
+///   exactly the panel workers asked for (worker spans are recorded per
+///   lane, deterministic even on one core);
 /// * `panel_tasks` — the region's member tasks must equal
 ///   `⌈ncols / PANEL_COLS⌉`: every fixed-width column panel claimed
 ///   exactly once, none lost or duplicated by the queue.
@@ -340,18 +340,19 @@ pub fn check_backtransform(n: usize, b: usize, k: usize) -> Vec<ModelRow> {
 /// * `regions` — one `parallel.stage1` region per engaged look-ahead step,
 ///   exactly as the replay predicts;
 /// * `worker_lanes` / `overlap_tasks` — every region must report two
-///   distinct lanes (the dedicated panel worker plus the updating thread)
-///   and two member tasks (`task.stage1_panel`, `task.stage1_tail`):
-///   the overlap is visible to the observatory, not just implied;
-/// * `panel_flops` / `tail_flops` — the `Flops` counted inside the worker
-///   panel spans and the overlapped tail spans must match the replay's
-///   exact WY-assembly and `syr2k` arithmetic within [`TOLERANCE`].
+///   distinct lanes (the calling thread plus one spawned thread) and two
+///   member tasks (`task.stage1`, one wrapping `task.stage1_panel`, the
+///   other `task.stage1_tail`): the overlap is visible to the
+///   observatory, not just implied;
+/// * `panel_flops` / `tail_flops` — the `Flops` counted inside the panel
+///   spans and the overlapped tail spans must match the replay's exact
+///   WY-assembly and `syr2k` arithmetic within [`TOLERANCE`].
 ///
-/// The reduction is measured under a `tg_blas` nested-region guard so the
-/// tail `syr2k` dispatches serially on the measuring thread — its flops
-/// then nest inside the `task.stage1_tail` span (results are
-/// bitwise-identical either way, the PR 5 contract; only the counter
-/// attribution needs the serial schedule).
+/// The tail `syr2k` runs inside the fan-out's parallel region, so it
+/// dispatches serially on its lane and its flops nest inside the
+/// `task.stage1_tail` span; the reduction is also measured under a
+/// `tg_blas` nested-region guard so the rest of it stays serial too
+/// (results are bitwise-identical either way).
 pub fn check_stage1_overlap(n: usize, b: usize, k: usize) -> Vec<ModelRow> {
     use tridiag_core::{dbbr_ws, AllocPool, DbbrConfig};
 

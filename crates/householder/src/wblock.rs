@@ -402,7 +402,16 @@ pub fn merge_to_width_ws(
 mod tests {
     use super::*;
     use crate::panel::panel_qr;
+    use std::sync::{Mutex, MutexGuard};
     use tg_matrix::{gen, max_abs_diff, orthogonality_residual, Mat};
+
+    /// Serializes the tests that merge: merges tally `MergeFlops` into
+    /// the process-global trace totals, which `merges_tally_merge_flops`
+    /// reads under its session.
+    fn serial() -> MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    }
 
     /// Random orthogonal factor from a panel QR (width k, order n).
     fn random_factor(n: usize, k: usize, seed: u64) -> WyPair {
@@ -428,6 +437,7 @@ mod tests {
 
     #[test]
     fn merge_pair_preserves_product() {
+        let _g = serial();
         let n = 12;
         let a = random_factor(n, 3, 1);
         let b = random_factor(n, 3, 2);
@@ -439,6 +449,7 @@ mod tests {
 
     #[test]
     fn recursive_matches_sequential_products() {
+        let _g = serial();
         let n = 16;
         for p in [1usize, 2, 3, 4, 5, 7] {
             let factors: Vec<WyPair> = (0..p).map(|i| random_factor(n, 2, 10 + i as u64)).collect();
@@ -454,6 +465,7 @@ mod tests {
 
     #[test]
     fn merge_to_width_stops_at_target() {
+        let _g = serial();
         let n = 20;
         let factors: Vec<WyPair> = (0..8).map(|i| random_factor(n, 2, 30 + i)).collect();
         let wide = merge_to_width(factors.clone(), 8);
@@ -466,6 +478,7 @@ mod tests {
 
     #[test]
     fn merge_to_width_handles_odd_counts() {
+        let _g = serial();
         let n = 14;
         let factors: Vec<WyPair> = (0..5).map(|i| random_factor(n, 2, 50 + i)).collect();
         let wide = merge_to_width(factors.clone(), 100);
@@ -489,6 +502,7 @@ mod tests {
 
     #[test]
     fn merge_pair_ws_is_bitwise_identical() {
+        let _g = serial();
         let n = 12;
         let a = random_factor(n, 3, 81);
         let b = random_factor(n, 3, 82);
@@ -500,6 +514,7 @@ mod tests {
 
     #[test]
     fn merge_to_width_ws_is_bitwise_identical() {
+        let _g = serial();
         let n = 20;
         for p in [3usize, 4, 5, 8] {
             let factors: Vec<WyPair> = (0..p).map(|i| random_factor(n, 2, 90 + i as u64)).collect();
@@ -527,6 +542,7 @@ mod tests {
 
     #[test]
     fn merges_tally_merge_flops() {
+        let _g = serial();
         let n = 12;
         let a = random_factor(n, 3, 110);
         let b = random_factor(n, 2, 111);

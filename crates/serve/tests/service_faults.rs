@@ -4,12 +4,20 @@
 //! are process-global; mixing them with fault-free service tests in one
 //! binary would let an unrelated job absorb the fault.
 
+use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
 use tg_check::{CheckConfig, CheckSession, FaultKind, FaultPlan};
 use tg_eigen::{syevd, EvdMethod};
 use tg_matrix::gen;
 use tg_serve::{JobService, JobSpec, JobStatus, ServeConfig};
+
+/// Serializes the tests: each computes its uncorrupted reference outside a
+/// check session, which must not overlap a sibling's armed fault plan.
+fn serial() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 fn serve_cfg() -> ServeConfig {
     ServeConfig {
@@ -26,6 +34,7 @@ fn serve_cfg() -> ServeConfig {
 /// the final result is bitwise-identical to an uncorrupted direct solve.
 #[test]
 fn injected_nan_is_retried_to_a_bitwise_clean_result() {
+    let _g = serial();
     let n = 20;
     let method = EvdMethod::proposed_default(n);
     let a = gen::random_symmetric(n, 21);
@@ -64,6 +73,7 @@ fn injected_nan_is_retried_to_a_bitwise_clean_result() {
 /// retried. This is the case that proves detection isn't just `is_finite`.
 #[test]
 fn silent_perturbation_is_detected_and_retried() {
+    let _g = serial();
     let n = 18;
     let method = EvdMethod::proposed_default(n);
     let a = gen::random_symmetric(n, 22);
@@ -92,6 +102,7 @@ fn silent_perturbation_is_detected_and_retried() {
 /// --serve`.
 #[test]
 fn campaign_workload_quiesces_with_clean_results() {
+    let _g = serial();
     let n = 20;
     let method = EvdMethod::proposed_default(n);
     let problems: Vec<_> = (0..6).map(|s| gen::random_symmetric(n, 50 + s)).collect();

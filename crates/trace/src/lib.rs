@@ -315,6 +315,17 @@ impl RegionId {
     }
 }
 
+/// The region of the innermost open region-tagged span on this thread —
+/// lets a task body tag its own `"wait"` spans as members of the region
+/// its fork-join engine opened. `None` when tracing is disabled or no
+/// region span is open.
+pub fn current_region() -> Option<RegionId> {
+    if !enabled() {
+        return None;
+    }
+    STACK.with(|s| s.borrow().iter().rev().find_map(|f| f.region).map(RegionId))
+}
+
 // ---- session ----
 
 /// RAII handle for one recording session. Only one session can be live at

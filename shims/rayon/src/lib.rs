@@ -1,15 +1,10 @@
 //! Offline stand-in for the `rayon` crate.
 //!
-//! Provides the subset this workspace uses — `into_par_iter()` /
-//! `par_iter_mut()` with `enumerate` + `for_each`, `join`, and
-//! `current_num_threads` — backed by `std::thread::scope` with a shared
-//! work queue. Semantics match rayon for the supported surface: items are
-//! processed exactly once, `for_each` returns after all items complete,
-//! and panics in workers propagate.
+//! The workspace fans out through its own fork-join engine
+//! (`tg_blas::threads::run_tasks`); the only rayon API it still calls is
+//! [`current_num_threads`], which sizes the default worker count.
 
-use std::sync::Mutex;
-
-/// Number of worker threads a parallel iterator will fan out to.
+/// Size of the (real) rayon global pool.
 ///
 /// Resolution order mirrors how a real rayon global pool would be sized in
 /// this workspace: `RAYON_NUM_THREADS` (rayon's own override), then
@@ -29,162 +24,4 @@ pub fn current_num_threads() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
-}
-
-/// Runs both closures and returns their results. The real rayon may run
-/// them on different threads; potential parallelism, not guaranteed — a
-/// sequential execution is a conforming implementation.
-pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
-where
-    A: FnOnce() -> RA + Send,
-    B: FnOnce() -> RB + Send,
-    RA: Send,
-    RB: Send,
-{
-    if current_num_threads() > 1 {
-        std::thread::scope(|s| {
-            let hb = s.spawn(b);
-            let ra = a();
-            (ra, hb.join().expect("rayon::join closure panicked"))
-        })
-    } else {
-        let ra = a();
-        let rb = b();
-        (ra, rb)
-    }
-}
-
-/// A materialized "parallel" iterator: the items to distribute.
-pub struct ParIter<T> {
-    items: Vec<T>,
-}
-
-/// `enumerate()` adapter over [`ParIter`].
-pub struct ParEnumerate<T> {
-    items: Vec<T>,
-}
-
-fn drive<T: Send, F: Fn(T) + Sync>(items: Vec<T>, f: F) {
-    let threads = current_num_threads().min(items.len());
-    if threads <= 1 {
-        for it in items {
-            f(it);
-        }
-        return;
-    }
-    let queue = Mutex::new(items.into_iter());
-    std::thread::scope(|s| {
-        let mut handles = Vec::with_capacity(threads);
-        for _ in 0..threads {
-            handles.push(s.spawn(|| loop {
-                let next = queue.lock().unwrap().next();
-                match next {
-                    Some(it) => f(it),
-                    None => break,
-                }
-            }));
-        }
-        for h in handles {
-            h.join().expect("parallel worker panicked");
-        }
-    });
-}
-
-impl<T: Send> ParIter<T> {
-    pub fn for_each<F: Fn(T) + Sync + Send>(self, f: F) {
-        drive(self.items, f);
-    }
-
-    pub fn enumerate(self) -> ParEnumerate<T> {
-        ParEnumerate { items: self.items }
-    }
-}
-
-impl<T: Send> ParEnumerate<T> {
-    pub fn for_each<F: Fn((usize, T)) + Sync + Send>(self, f: F) {
-        let numbered: Vec<(usize, T)> = self.items.into_iter().enumerate().collect();
-        drive(numbered, f);
-    }
-}
-
-/// Conversion into a parallel iterator (`rayon::iter::IntoParallelIterator`).
-pub trait IntoParallelIterator {
-    type Item: Send;
-    fn into_par_iter(self) -> ParIter<Self::Item>;
-}
-
-impl<T: Send> IntoParallelIterator for Vec<T> {
-    type Item = T;
-    fn into_par_iter(self) -> ParIter<T> {
-        ParIter { items: self }
-    }
-}
-
-/// `par_iter_mut()` over slices (`rayon::iter::IntoParallelRefMutIterator`).
-pub trait IntoParallelRefMutIterator<'a> {
-    type Item: Send;
-    fn par_iter_mut(&'a mut self) -> ParIter<Self::Item>;
-}
-
-impl<'a, T: Send + 'a> IntoParallelRefMutIterator<'a> for [T] {
-    type Item = &'a mut T;
-    fn par_iter_mut(&'a mut self) -> ParIter<&'a mut T> {
-        ParIter {
-            items: self.iter_mut().collect(),
-        }
-    }
-}
-
-impl<'a, T: Send + 'a> IntoParallelRefMutIterator<'a> for Vec<T> {
-    type Item = &'a mut T;
-    fn par_iter_mut(&'a mut self) -> ParIter<&'a mut T> {
-        ParIter {
-            items: self.iter_mut().collect(),
-        }
-    }
-}
-
-pub mod prelude {
-    pub use crate::{IntoParallelIterator, IntoParallelRefMutIterator};
-}
-
-pub mod iter {
-    pub use crate::{IntoParallelIterator, IntoParallelRefMutIterator, ParIter};
-}
-
-#[cfg(test)]
-mod tests {
-    use super::prelude::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
-    #[test]
-    fn for_each_visits_every_item_once() {
-        let hits = AtomicUsize::new(0);
-        let sum = AtomicUsize::new(0);
-        (0..100usize)
-            .collect::<Vec<_>>()
-            .into_par_iter()
-            .for_each(|i| {
-                hits.fetch_add(1, Ordering::Relaxed);
-                sum.fetch_add(i, Ordering::Relaxed);
-            });
-        assert_eq!(hits.load(Ordering::Relaxed), 100);
-        assert_eq!(sum.load(Ordering::Relaxed), 99 * 100 / 2);
-    }
-
-    #[test]
-    fn par_iter_mut_enumerate() {
-        let mut v = vec![0usize; 50];
-        v.par_iter_mut().enumerate().for_each(|(i, x)| *x = i * 2);
-        for (i, x) in v.iter().enumerate() {
-            assert_eq!(*x, i * 2);
-        }
-    }
-
-    #[test]
-    fn join_returns_both() {
-        let (a, b) = super::join(|| 1 + 1, || "x".to_string());
-        assert_eq!(a, 2);
-        assert_eq!(b, "x");
-    }
 }

@@ -1,8 +1,8 @@
 //! Differential test harness over every reduction path.
 //!
 //! Every tridiagonalization method — direct blocked (`sytrd`), two-stage
-//! with single-blocking SBR, double-blocking DBBR, and the sweep-grouped
-//! DBBR schedule — is an orthogonal similarity, so all of them must
+//! with single-blocking SBR, and double-blocking DBBR — is an orthogonal
+//! similarity, so all of them must
 //! produce the *same spectrum*. These properties reduce random symmetric
 //! matrices through every path, solve each tridiagonal form with the QL
 //! iteration (`sterf`, the eigenvalue core of `steqr`), and require the
@@ -37,14 +37,6 @@ fn all_methods(b: usize, k: usize, sweeps: usize) -> Vec<(&'static str, Method)>
             Method::Dbbr {
                 cfg: DbbrConfig::new(b, k),
                 parallel_sweeps: sweeps,
-            },
-        ),
-        (
-            "dbbr_grouped",
-            Method::DbbrGrouped {
-                cfg: DbbrConfig::new(b, k),
-                workers: 2,
-                group: 2,
             },
         ),
     ]

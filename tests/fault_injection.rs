@@ -5,12 +5,16 @@
 //! Check sessions are process-global and mutually exclusive, so these
 //! tests serialize on `CheckSession::begin` automatically.
 
+use std::sync::Mutex;
 use tg_batch::{ShapeClass, WorkspaceArena};
 use tg_check::fault::{FaultKind, FaultPlan};
 use tg_check::{CheckConfig, CheckReport, CheckSession};
 use tg_eigen::{syevd, EvdMethod};
 use tg_matrix::gen;
 use tridiag_core::{tridiagonalize, DbbrConfig, Method, WorkspacePool};
+
+/// Serializes the test that sets `TG_THREADS`, which is process-global.
+static ENV_LOCK: Mutex<()> = Mutex::new(());
 
 fn reduce_method() -> Method {
     Method::Dbbr {
@@ -128,6 +132,31 @@ fn workspace_checker_fires_on_skipped_scrub() {
     let _dirty = arena.acquire(4, 4);
     let report = session.finish();
     assert_caught(&report, "arena.acquire", "workspace_zero");
+}
+
+#[test]
+fn faults_on_spawned_workers_are_credited_to_the_calling_thread() {
+    // `tg-serve` classifies an attempt as fault-hit by the calling
+    // thread's fired-fault delta, so a fault that lands on a fan-out
+    // worker must show up there too, whichever lane ran the task.
+    let _env = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let session = CheckSession::begin(CheckConfig::strict().with_faults(FaultPlan::single(
+        "blas.syr2k",
+        FaultKind::Nan,
+        0,
+    )));
+    std::env::set_var("TG_THREADS", "2");
+    let (n, k) = (96, 16);
+    let a = gen::random(n, k, 1);
+    let b = gen::random(n, k, 2);
+    let mut c = gen::random_symmetric(n, 3);
+    let before = tg_check::fault::fired_on_this_thread();
+    tg_blas::syr2k_square(-1.0, &a.as_ref(), &b.as_ref(), 1.0, &mut c.as_mut(), 8, 2);
+    let credited = tg_check::fault::fired_on_this_thread() - before;
+    std::env::remove_var("TG_THREADS");
+    let report = session.finish();
+    assert_eq!(report.faults_fired.len(), 1, "{}", report.render());
+    assert_eq!(credited, report.faults_fired.len() as u64);
 }
 
 #[test]

@@ -173,30 +173,3 @@ fn syr2k_square_bitwise_across_tg_threads_and_matches_ref() {
     }
     std::env::remove_var("TG_THREADS");
 }
-
-/// The batched-GEMM entry points run each member GEMM with the same serial
-/// inner arithmetic at every thread count.
-#[test]
-fn gemm_batched_uniform_bitwise_across_tg_threads() {
-    let _guard = ENV_LOCK.lock().unwrap();
-    let count = 6;
-    let (m, n, k) = (96, 48, 40);
-    let a: Vec<Mat> = (0..count).map(|i| gen::random(m, k, 9000 + i)).collect();
-    let b: Vec<Mat> = (0..count).map(|i| gen::random(k, n, 9100 + i)).collect();
-
-    let mut reference: Option<Vec<Mat>> = None;
-    for t in [1usize, 4] {
-        std::env::set_var("TG_THREADS", t.to_string());
-        let mut c: Vec<Mat> = (0..count).map(|_| Mat::zeros(m, n)).collect();
-        blas::batched::gemm_batched_uniform(1.0, &a, Op::NoTrans, &b, Op::NoTrans, 0.0, &mut c);
-        match &reference {
-            None => reference = Some(c),
-            Some(r) => {
-                for (i, (x, y)) in r.iter().zip(&c).enumerate() {
-                    assert_bitwise_eq(x, y, &format!("batched job {i} TG_THREADS={t}"));
-                }
-            }
-        }
-    }
-    std::env::remove_var("TG_THREADS");
-}

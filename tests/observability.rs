@@ -175,51 +175,68 @@ fn timeline_nesting_is_well_formed_per_thread() {
 #[test]
 fn worker_ids_are_stable_within_a_region() {
     let _g = serial();
+    // Every fan-out goes through one engine, so one span schema must hold
+    // for every `parallel.*` region: a full EVD with vectors at two
+    // threads (GEMM, syr2k, batched-GEMM, D&C, bulge-chasing and
+    // back-transform regions) plus a two-worker batch.
+    let n = 256;
+    let mut a = gen::random_symmetric(n, 7);
     let problems: Vec<_> = (0..6).map(|s| gen::random_symmetric(24, 40 + s)).collect();
-    let method = EvdMethod::proposed_default(24);
+    std::env::set_var("TG_THREADS", "2");
     let session = TraceSession::begin();
+    let evd = syevd(&mut a, &EvdMethod::proposed_default(n), true).unwrap();
     let batch = tg_batch::BatchScheduler::new(2)
-        .syevd(&problems, &method, false)
+        .syevd(&problems, &EvdMethod::proposed_default(24), false)
         .unwrap();
     let trace = session.finish();
+    std::env::remove_var("TG_THREADS");
+    assert_eq!(evd.eigenvalues.len(), n);
     assert_eq!(batch.results.len(), 6);
-    // Every batch.problem task must run on the tid of one of the region's
-    // batch.worker lane markers — worker ids never change mid-region.
-    let workers: Vec<u64> = trace
-        .events
-        .iter()
-        .filter(|e| e.name == "batch.worker")
-        .map(|e| e.tid)
-        .collect();
-    assert_eq!(workers.len(), 2, "one lane marker per spawned worker");
-    for e in trace.events.iter().filter(|e| e.name == "batch.problem") {
-        assert!(
-            workers.contains(&e.tid),
-            "task on tid {} outside worker lanes {workers:?}",
-            e.tid
-        );
-    }
-    // All of them share the region id of the parallel.batch opener.
-    let region = trace
-        .events
-        .iter()
-        .find(|e| e.name == "parallel.batch")
-        .expect("region opener span")
-        .region;
-    assert!(region.is_some());
-    for e in trace
-        .events
-        .iter()
-        .filter(|e| e.name == "batch.worker" || e.name == "batch.problem")
-    {
-        assert_eq!(e.region, region, "span {} left its region", e.name);
-    }
-    // And the utilization analysis sees exactly those two workers.
+
     let regions = trace.region_utilization();
-    let batch_region = regions
-        .iter()
-        .find(|r| r.name == "parallel.batch")
-        .expect("region row");
+    for r in &regions {
+        assert!(r.name.starts_with("parallel."), "region opener {}", r.name);
+        let members = || trace.events.iter().filter(|e| e.region == Some(r.region));
+        // Worker ids never change mid-region: every task runs on the tid
+        // of one of the region's worker lane markers.
+        let mut lanes: Vec<u64> = members()
+            .filter(|e| e.cat == "worker")
+            .map(|e| e.tid)
+            .collect();
+        let worker_spans = lanes.len();
+        lanes.sort_unstable();
+        lanes.dedup();
+        assert_eq!(
+            lanes.len(),
+            worker_spans,
+            "{}: two lane markers on one tid",
+            r.name
+        );
+        for e in members().filter(|e| e.cat == "task") {
+            assert!(
+                lanes.contains(&e.tid),
+                "{}: task {} on tid {} outside worker lanes {lanes:?}",
+                r.name,
+                e.name,
+                e.tid
+            );
+        }
+        // ... and the utilization analysis counts exactly those lanes.
+        assert_eq!(r.workers, worker_spans, "{}: lanes vs worker spans", r.name);
+        assert!(r.tasks >= 1, "{}: region without tasks", r.name);
+    }
+    let named = |name: &'static str| regions.iter().filter(move |r| r.name == name);
+    for name in [
+        "parallel.bc",
+        "parallel.dc",
+        "parallel.backtransform",
+        "parallel.batch",
+    ] {
+        assert!(named(name).next().is_some(), "no {name} region");
+    }
+    // D&C fans out once, at the top split: the recursion stays on its lane.
+    assert!(named("parallel.dc").all(|r| r.workers <= 2));
+    let batch_region = named("parallel.batch").next().unwrap();
     assert_eq!(batch_region.workers, 2);
     assert_eq!(batch_region.tasks, 6);
     assert!(batch_region.imbalance >= 1.0);
