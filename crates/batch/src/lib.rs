@@ -9,18 +9,15 @@
 //!
 //! * [`BatchScheduler`] — runs `syevd` / `tridiagonalize` over a slice of
 //!   problems on a pool of worker threads, handing out work through an
-//!   atomic index queue,
-//! * [`WorkspaceArena`] — a per-worker [`tridiag_core::WorkspacePool`]
-//!   that caches reduction/backtransform scratch buffers across problems,
-//!   keyed by [`ShapeClass`] `(n, b, k)`, with hit/miss counters mirrored
-//!   into `tg-trace`,
+//!   atomic index queue; each worker keeps one [`tridiag_core::CachingPool`]
+//!   warm across the same-[`tridiag_core::ShapeClass`] problems it solves,
 //! * [`BatchResult`] / [`BatchStats`] — per-problem outputs in input
-//!   order plus scheduling and arena statistics.
+//!   order plus scheduling and workspace-pool statistics.
 //!
 //! The headline contract is **per-problem determinism**: every batched
 //! result is bitwise-identical to the single-problem `syevd`/
 //! `tridiagonalize` output, independent of worker count and scheduling
-//! order. See `docs/BATCHING.md` for how the arena's zero-fill contract
+//! order. See `docs/BATCHING.md` for how the pool's zero-fill contract
 //! makes that hold.
 //!
 //! ```
@@ -35,17 +32,13 @@
 //! assert!(batch.stats.arena.hit_rate() > 0.0);
 //! ```
 
-pub mod arena;
 pub mod scheduler;
-pub mod threads;
 
-pub use arena::{ArenaStats, ShapeClass, WorkspaceArena, WorkspaceLease};
 pub use scheduler::{BatchResult, BatchScheduler, BatchStats, CancelToken};
-pub use threads::worker_threads;
 
 /// Trace sessions are process-global: a test that records arena counters
 /// while another test's session is open leaks them into its totals. Every
-/// test in this crate that solves or touches an arena holds this lock.
+/// test in this crate that solves holds this lock.
 #[cfg(test)]
 pub(crate) fn serial() -> std::sync::MutexGuard<'static, ()> {
     static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());

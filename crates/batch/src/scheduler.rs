@@ -4,17 +4,17 @@
 //! indices to [`tg_blas::threads::run_tasks`] with `workers` lanes, which
 //! claim them from one atomic cursor (dynamic work stealing — cheap and
 //! fair for uneven problem times), and gives every lane its own
-//! [`WorkspaceArena`]. Results come back in task order, so output order
+//! [`CachingPool`]. Results come back in task order, so output order
 //! always matches input order no matter which worker ran what.
 //!
 //! # Determinism contract
 //!
 //! Every problem is computed *exactly* as the single-problem path computes
 //! it: same kernels, same operation order, with scratch matrices that the
-//! arena guarantees are bitwise-zero on acquisition (see
+//! pool guarantees are bitwise-zero on acquisition (see
 //! [`tridiag_core::workspace`]). A problem's result therefore depends only
 //! on its own input — never on which worker picked it up, how many workers
-//! there are, or what ran before it on the same arena. This is asserted
+//! there are, or what ran before it on the same pool. This is asserted
 //! bitwise by the tests here and in `tests/batching.rs`.
 
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -24,9 +24,7 @@ use std::time::{Duration, Instant};
 use tg_blas::threads::{run_tasks, Spans};
 use tg_eigen::{syevd_ws, EigenError, Evd, EvdMethod};
 use tg_matrix::Mat;
-use tridiag_core::{tridiagonalize_ws, Method, TridiagResult};
-
-use crate::arena::{ArenaStats, ShapeClass, WorkspaceArena};
+use tridiag_core::{tridiagonalize_ws, CachingPool, Method, PoolStats, TridiagResult};
 
 /// Execution statistics for one batch call.
 #[derive(Clone, Copy, Debug)]
@@ -39,8 +37,8 @@ pub struct BatchStats {
     pub workers: usize,
     /// Wall-clock time for the whole batch.
     pub wall: Duration,
-    /// Workspace-arena hit/miss counts summed over all workers.
-    pub arena: ArenaStats,
+    /// Workspace-pool hit/miss counts summed over all workers.
+    pub arena: PoolStats,
 }
 
 impl BatchStats {
@@ -61,7 +59,7 @@ impl BatchStats {
 pub struct BatchResult<T> {
     /// `results[i]` is the output for `problems[i]`.
     pub results: Vec<T>,
-    /// Scheduling / arena statistics.
+    /// Scheduling / workspace-pool statistics.
     pub stats: BatchStats,
 }
 
@@ -106,9 +104,10 @@ impl BatchScheduler {
         }
     }
 
-    /// Scheduler sized by [`crate::worker_threads`] (honours `TG_THREADS`).
+    /// Scheduler sized by [`tg_blas::threads::worker_threads`] (honours
+    /// `TG_THREADS`).
     pub fn with_default_workers() -> Self {
-        Self::new(crate::threads::worker_threads())
+        Self::new(tg_blas::threads::worker_threads())
     }
 
     /// Configured worker count.
@@ -128,16 +127,16 @@ impl BatchScheduler {
         method: &EvdMethod,
         want_vectors: bool,
     ) -> Result<BatchResult<Evd>, EigenError> {
-        let (raw, stats) = self.run(problems.len(), None, |i, arena| {
-            arena.begin_problem(ShapeClass::for_evd(problems[i].nrows(), method));
-            let mut a = problems[i].clone();
-            syevd_ws(&mut a, method, want_vectors, arena)
-        });
-        let results = raw
+        let batch = self.syevd_cancellable(problems, method, want_vectors, &CancelToken::new())?;
+        let results = batch
+            .results
             .into_iter()
-            .map(|slot| slot.expect("no token: every slot filled"))
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(BatchResult { results, stats })
+            .map(|slot| slot.expect("fresh token: every slot filled"))
+            .collect();
+        Ok(BatchResult {
+            results,
+            stats: batch.stats,
+        })
     }
 
     /// [`syevd`](BatchScheduler::syevd) with cooperative cancellation:
@@ -153,10 +152,10 @@ impl BatchScheduler {
         want_vectors: bool,
         token: &CancelToken,
     ) -> Result<BatchResult<Option<Evd>>, EigenError> {
-        let (raw, stats) = self.run(problems.len(), Some(token), |i, arena| {
-            arena.begin_problem(ShapeClass::for_evd(problems[i].nrows(), method));
+        let (raw, stats) = self.run(problems.len(), token, |i, pool| {
+            pool.begin_problem(method.shape_class(problems[i].nrows()));
             let mut a = problems[i].clone();
-            syevd_ws(&mut a, method, want_vectors, arena)
+            syevd_ws(&mut a, method, want_vectors, pool)
         });
         let results = raw
             .into_iter()
@@ -167,51 +166,42 @@ impl BatchScheduler {
 
     /// Tridiagonalizes every matrix in `problems` (inputs preserved).
     pub fn tridiagonalize(&self, problems: &[Mat], method: &Method) -> BatchResult<TridiagResult> {
-        let (raw, stats) = self.run(problems.len(), None, |i, arena| {
-            arena.begin_problem(ShapeClass::for_method(problems[i].nrows(), method));
+        let (raw, stats) = self.run(problems.len(), &CancelToken::new(), |i, pool| {
+            pool.begin_problem(method.shape_class(problems[i].nrows()));
             let mut a = problems[i].clone();
-            tridiagonalize_ws(&mut a, method, arena)
+            tridiagonalize_ws(&mut a, method, pool)
         });
         let results = raw
             .into_iter()
-            .map(|slot| slot.expect("no token: every slot filled"))
+            .map(|slot| slot.expect("fresh token: every slot filled"))
             .collect();
         BatchResult { results, stats }
     }
 
-    /// Generic work loop: runs `f(i, arena)` for every index `0..count` as
+    /// Generic work loop: runs `f(i, pool)` for every index `0..count` as
     /// one [`run_tasks`] task list (`batch.problem` task spans), each lane
-    /// with its own arena, and returns results in index order plus merged
-    /// stats. With a `token`, problems not yet started once it is
-    /// cancelled come back `None`; without one every slot is `Some`.
-    fn run<T, F>(
-        &self,
-        count: usize,
-        token: Option<&CancelToken>,
-        f: F,
-    ) -> (Vec<Option<T>>, BatchStats)
+    /// with its own pool, and returns results in index order plus merged
+    /// stats. Problems not yet started once `token` is cancelled come back
+    /// `None`.
+    fn run<T, F>(&self, count: usize, token: &CancelToken, f: F) -> (Vec<Option<T>>, BatchStats)
     where
         T: Send,
-        F: Fn(usize, &mut WorkspaceArena) -> T + Sync,
+        F: Fn(usize, &mut CachingPool) -> T + Sync,
     {
         let start = Instant::now();
         let workers = self.workers.min(count.max(1));
-        let mut arenas: Vec<WorkspaceArena> = (0..workers).map(|_| WorkspaceArena::new()).collect();
+        let mut pools: Vec<CachingPool> = (0..workers).map(|_| CachingPool::new()).collect();
         let spans = Spans {
             region: "parallel.batch",
             worker: "batch.worker",
             task: "batch.problem",
         };
-        let results = run_tasks(spans, (0..count).collect(), &mut arenas, |arena, i| {
-            if token.is_some_and(CancelToken::is_cancelled) {
-                None
-            } else {
-                Some(f(i, arena))
-            }
+        let results = run_tasks(spans, (0..count).collect(), &mut pools, |pool, i| {
+            (!token.is_cancelled()).then(|| f(i, pool))
         });
-        let mut merged = ArenaStats::default();
-        for arena in &arenas {
-            merged.merge(&arena.stats());
+        let mut merged = PoolStats::default();
+        for pool in &pools {
+            merged.merge(&pool.stats());
         }
         let stats = BatchStats {
             problems: count,

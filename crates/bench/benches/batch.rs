@@ -22,7 +22,7 @@ fn bench_batch(c: &mut Criterion) {
         |b, probs| b.iter(|| syevd_batched(probs, &method, false).unwrap()),
     );
 
-    let workers = tg_batch::worker_threads();
+    let workers = tg_blas::threads::worker_threads();
     g.bench_with_input(
         BenchmarkId::new(format!("scheduler_w{workers}"), count),
         &problems,

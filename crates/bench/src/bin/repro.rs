@@ -1041,7 +1041,7 @@ fn golden_regen() {
 /// One batched-EVD solve that crosses every instrumented fault site:
 /// DBBR (`stage1.band`, `blas.syr2k`), bulge chasing (`bc.tri`), the
 /// tridiagonal eigensolver (`evd.values`), the blocked back transformation
-/// (`backtransform.q`), and the single-worker arena (`arena.acquire`, which
+/// (`backtransform.q`), and the single worker's caching pool (`arena.acquire`, which
 /// needs a cache hit, i.e. at least two same-shape problems on one worker).
 fn fault_workload() {
     use tg_matrix::gen;
@@ -1878,7 +1878,7 @@ fn batch_scaling() {
 
     // CPU-scale measured run of the real scheduler (small sizes: this
     // host is the correctness substrate, not the performance substrate).
-    let workers = tg_batch::worker_threads();
+    let workers = tg_blas::threads::worker_threads();
     let (ms, hit_rate) = measured::batch_compare(48, 12, workers);
     println!(
         "{}",

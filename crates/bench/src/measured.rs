@@ -361,7 +361,7 @@ pub fn backtransform_sweep_reps(
     reps: usize,
 ) -> (Vec<Measurement>, f64) {
     use tridiag_core::backtransform::{apply_q1, apply_q1_blocked_ws};
-    use tridiag_core::{AllocPool, PanelPools};
+    use tridiag_core::{AllocPool, PanelPools, PoolStats};
 
     let mut out = Vec::new();
     // Pools persist across shapes and reps — the steady-state claim is
@@ -369,7 +369,12 @@ pub fn backtransform_sweep_reps(
     let mut serial_pools = PanelPools::new();
     let mut par_pools = PanelPools::new();
     let mut pool = AllocPool;
-    let (mut steady_hits, mut steady_total) = (0u64, 0u64);
+    let both = |s: &PanelPools, p: &PanelPools| {
+        let mut total = s.stats();
+        total.merge(&p.stats());
+        total
+    };
+    let mut steady = PoolStats::default();
     for (si, &(n, b, target_k)) in shapes.iter().enumerate() {
         let mut a = gen::random_symmetric(n, 2900 + si as u64);
         let red = tridiag_core::band_reduce(&mut a, b, 64);
@@ -422,8 +427,7 @@ pub fn backtransform_sweep_reps(
                 &mut par_pools,
             );
         }
-        let h0 = serial_pools.hits() + par_pools.hits();
-        let m0 = serial_pools.misses() + par_pools.misses();
+        let before = both(&serial_pools, &par_pools);
 
         let (t, serial_c) = median_apply(&mut |c| {
             apply_q1_blocked_ws(&red.factors, c, target_k, &mut pool, 1, &mut serial_pools)
@@ -461,17 +465,11 @@ pub fn backtransform_sweep_reps(
                 );
             }
         }
-        let dh = serial_pools.hits() + par_pools.hits() - h0;
-        let dm = serial_pools.misses() + par_pools.misses() - m0;
-        steady_hits += dh;
-        steady_total += dh + dm;
+        let after = both(&serial_pools, &par_pools);
+        steady.hits += after.hits - before.hits;
+        steady.misses += after.misses - before.misses;
     }
-    let hit_rate = if steady_total == 0 {
-        0.0
-    } else {
-        steady_hits as f64 / steady_total as f64
-    };
-    (out, hit_rate)
+    (out, steady.hit_rate())
 }
 
 /// Measured stage-1 (DBBR band reduction) throughput, serial deferred

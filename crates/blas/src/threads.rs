@@ -7,10 +7,7 @@
 //! `BatchScheduler` default, `tridiag info`/`tridiag batch`, the benches —
 //! goes through [`worker_threads`] instead of reading
 //! `rayon::current_num_threads` (or `available_parallelism`) ad hoc, so a
-//! single `TG_THREADS` override steers every component consistently. (The
-//! helper lives here rather than in `tg-batch`, where it was born, because
-//! the BLAS dispatch needs it and `tg-batch` already depends on `tg-blas`;
-//! `tg_batch::worker_threads` re-exports this one.)
+//! single `TG_THREADS` override steers every component consistently.
 //!
 //! The region guard exists because parallel kernels compose: a batched-EVD
 //! worker calls `syr2k_square`, whose super-block tasks call `gemm`. Letting

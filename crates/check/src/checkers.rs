@@ -268,7 +268,7 @@ impl StageChecker for SpectrumChecker {
 
 /// Workspace-pool contract: an acquired buffer is bitwise zero. Catches
 /// both stale reuse and leaked debug NaN-poison (see
-/// `tg_batch::WorkspaceArena`).
+/// `tridiag_core::CachingPool`).
 pub struct WorkspaceZeroChecker;
 
 impl StageChecker for WorkspaceZeroChecker {

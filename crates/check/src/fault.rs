@@ -17,7 +17,7 @@
 //! | `backtransform.q` | eigenvector matrix after the back-transform (syevd)   |
 //! | `blas.syr2k`      | output tile of the blocked SYR2K update (tg-blas)     |
 //! | `blas.panel_qr`   | panel `W` factor after the stage-1 panel QR (dbbr)    |
-//! | `arena.acquire`   | skips the arena's zero-fill on a buffer reuse hit     |
+//! | `arena.acquire`   | skips the caching pool's zero-fill on a reuse hit     |
 //!
 //! Everything is seed-deterministic: [`FaultPlan::campaign`] derives kinds
 //! and indices from a splitmix64 stream, so `TG_FAULT_SEED=101` reproduces

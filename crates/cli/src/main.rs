@@ -428,7 +428,7 @@ fn main() {
             let workers = if o.threads > 0 {
                 o.threads
             } else {
-                tg_batch::worker_threads()
+                tg_blas::threads::worker_threads()
             };
             let scheduler = tg_batch::BatchScheduler::new(workers);
             let method = evd_method(&o, n);
@@ -580,7 +580,7 @@ fn main() {
             let m = read_matrix_market(input).unwrap_or_else(|e| fail(e));
             let n = m.nrows();
             println!("shape: {}x{}", n, m.ncols());
-            println!("worker threads: {}", tg_batch::threads::describe());
+            println!("worker threads: {}", tg_blas::threads::describe());
             println!("frobenius norm: {:.6e}", tg_matrix::frob_norm(&m));
             let total = n * m.ncols();
             let mut nnz = 0usize;

@@ -30,7 +30,7 @@
 //! `TG_THREADS`. The serial path is literally the same panels applied in
 //! order.
 
-use crate::workspace::{CachingPool, WorkspacePool};
+use crate::workspace::{CachingPool, PoolStats, WorkspacePool};
 use tg_blas::threads::{run_tasks, Spans};
 use tg_blas::{gemm, gemm_into, Op};
 use tg_householder::wblock::{merge_to_width, merge_to_width_ws, WyPair};
@@ -208,25 +208,13 @@ impl PanelPools {
         &mut self.pools[..workers]
     }
 
-    /// Total cache hits across all worker pools.
-    pub fn hits(&self) -> u64 {
-        self.pools.iter().map(CachingPool::hits).sum()
-    }
-
-    /// Total cache misses (allocations) across all worker pools.
-    pub fn misses(&self) -> u64 {
-        self.pools.iter().map(CachingPool::misses).sum()
-    }
-
-    /// Aggregate hit rate across all worker pools (0 before first use).
-    pub fn hit_rate(&self) -> f64 {
-        let hits: u64 = self.pools.iter().map(CachingPool::hits).sum();
-        let total: u64 = self.pools.iter().map(|p| p.hits() + p.misses()).sum();
-        if total == 0 {
-            0.0
-        } else {
-            hits as f64 / total as f64
+    /// Hit/miss counts summed over all worker pools.
+    pub fn stats(&self) -> PoolStats {
+        let mut total = PoolStats::default();
+        for p in &self.pools {
+            total.merge(&p.stats());
         }
+        total
     }
 }
 
@@ -472,14 +460,14 @@ mod tests {
         let mut c = c0.clone();
         apply_q1_blocked_ws(&factors, &mut c, 8, &mut pool, 1, &mut pools);
         // …after which the panel loop allocates nothing.
-        let before_misses: u64 = pools.pools.iter().map(CachingPool::misses).sum();
+        let before_misses = pools.stats().misses;
         let mut c = c0.clone();
         apply_q1_blocked_ws(&factors, &mut c, 8, &mut pool, 1, &mut pools);
-        let after_misses: u64 = pools.pools.iter().map(CachingPool::misses).sum();
+        let after_misses = pools.stats().misses;
         assert_eq!(
             before_misses, after_misses,
             "steady state must not allocate"
         );
-        assert!(pools.hit_rate() > 0.0);
+        assert!(pools.stats().hit_rate() > 0.0);
     }
 }

@@ -120,8 +120,8 @@ pub fn dbbr(a: &mut Mat, cfg: &DbbrConfig) -> BandReduction {
 /// Like [`dbbr`] but draws every scratch matrix (the accumulated `(Z, Y)`
 /// pair and the per-panel `U`) from `pool` instead of allocating. With any
 /// conforming pool (see [`WorkspacePool`]) the output is bitwise-identical
-/// to [`dbbr`]; a caching pool such as `tg-batch`'s `WorkspaceArena` makes
-/// repeated same-shape reductions allocation-free after the first.
+/// to [`dbbr`]; a [`crate::CachingPool`] makes repeated same-shape
+/// reductions allocation-free after the first.
 pub fn dbbr_ws(a: &mut Mat, cfg: &DbbrConfig, pool: &mut dyn WorkspacePool) -> BandReduction {
     let n = a.nrows();
     assert_eq!(a.ncols(), n);
@@ -510,7 +510,7 @@ mod tests {
         la_cfg.lookahead = true;
         let a0 = gen::random_symmetric(n, 35);
         let reference = dbbr(&mut a0.clone(), &serial_cfg);
-        let mut pool = RecyclingPool::default();
+        let mut pool = crate::CachingPool::new();
         for pass in 0..2 {
             let red = dbbr_ws(&mut a0.clone(), &la_cfg, &mut pool);
             assert_eq!(red.band, reference.band, "band differs on pass {pass}");
@@ -520,33 +520,7 @@ mod tests {
                 assert_eq!(f1.y, f2.y, "Y differs on pass {pass}");
             }
         }
-        assert!(pool.reused > 0, "second pass never hit the pool");
-    }
-
-    /// Minimal conforming caching pool: recycles buffers by exact length,
-    /// zeroing on reuse. Validates the [`WorkspacePool`] determinism
-    /// contract without depending on `tg-batch`.
-    #[derive(Default)]
-    struct RecyclingPool {
-        free: std::collections::BTreeMap<usize, Vec<Vec<f64>>>,
-        reused: usize,
-    }
-
-    impl crate::workspace::WorkspacePool for RecyclingPool {
-        fn acquire(&mut self, rows: usize, cols: usize) -> Mat {
-            if let Some(mut buf) = self.free.get_mut(&(rows * cols)).and_then(Vec::pop) {
-                self.reused += 1;
-                buf.fill(0.0);
-                Mat::from_col_major(rows, cols, buf)
-            } else {
-                Mat::zeros(rows, cols)
-            }
-        }
-
-        fn release(&mut self, m: Mat) {
-            let buf = m.into_col_major();
-            self.free.entry(buf.len()).or_default().push(buf);
-        }
+        assert!(pool.stats().hits > 0, "second pass never hit the pool");
     }
 
     #[test]
@@ -555,7 +529,7 @@ mod tests {
         let cfg = DbbrConfig::new(3, 6);
         let a0 = gen::random_symmetric(n, 17);
         let reference = dbbr(&mut a0.clone(), &cfg);
-        let mut pool = RecyclingPool::default();
+        let mut pool = crate::CachingPool::new();
         // run twice through the same pool: the second pass reuses buffers
         for pass in 0..2 {
             let red = dbbr_ws(&mut a0.clone(), &cfg, &mut pool);
@@ -567,6 +541,6 @@ mod tests {
                 assert_eq!(f1.y, f2.y, "Y differs on pass {pass}");
             }
         }
-        assert!(pool.reused > 0, "second pass never hit the pool");
+        assert!(pool.stats().hits > 0, "second pass never hit the pool");
     }
 }

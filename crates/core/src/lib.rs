@@ -32,4 +32,4 @@ pub use givens_tridiag::givens_tridiagonalize;
 pub use sbr::{band_reduce, BandReduction};
 pub use sytrd::{sytrd_blocked, sytrd_unblocked, SytrdResult};
 pub use two_stage::{tridiagonalize, tridiagonalize_ws, Method, TridiagResult};
-pub use workspace::{AllocPool, CachingPool, WorkspacePool};
+pub use workspace::{AllocPool, CachingPool, PoolStats, ShapeClass, WorkspacePool};

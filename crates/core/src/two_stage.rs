@@ -15,7 +15,7 @@ use crate::bc::{bulge_chase_pipelined, bulge_chase_seq, BcResult};
 use crate::dbbr::{dbbr_ws, DbbrConfig};
 use crate::sbr::band_reduce;
 use crate::sytrd::{sytrd_blocked, SytrdResult};
-use crate::workspace::{AllocPool, WorkspacePool};
+use crate::workspace::{AllocPool, ShapeClass, WorkspacePool};
 use tg_householder::wblock::WyPair;
 use tg_matrix::{Mat, Tridiagonal};
 
@@ -46,6 +46,20 @@ impl Method {
         Method::Dbbr {
             cfg: DbbrConfig::new(b, k),
             parallel_sweeps: 4,
+        }
+    }
+
+    /// Shape class of an `n × n` problem reduced with this method: the key
+    /// under which a [`crate::CachingPool`] keeps its buffers warm.
+    pub fn shape_class(&self, n: usize) -> ShapeClass {
+        match self {
+            Method::Direct { nb } => ShapeClass { n, b: *nb, k: 0 },
+            Method::Sbr { b, .. } => ShapeClass { n, b: *b, k: 0 },
+            Method::Dbbr { cfg, .. } => ShapeClass {
+                n,
+                b: cfg.b,
+                k: cfg.k,
+            },
         }
     }
 }
@@ -277,6 +291,19 @@ mod tests {
         let t = res.tri.to_dense();
         let r = similarity_residual(&a0, &q, &t);
         assert!(r < 1e-11, "{method:?}: A ≠ Q T Qᵀ ({r})");
+    }
+
+    #[test]
+    fn shape_class_mapping() {
+        let m = Method::Dbbr {
+            cfg: DbbrConfig::new(4, 16),
+            parallel_sweeps: 2,
+        };
+        assert_eq!(m.shape_class(32), ShapeClass { n: 32, b: 4, k: 16 });
+        assert_eq!(
+            Method::Direct { nb: 8 }.shape_class(32),
+            ShapeClass { n: 32, b: 8, k: 0 }
+        );
     }
 
     #[test]

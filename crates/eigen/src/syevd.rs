@@ -14,7 +14,7 @@ use crate::dc::stedc;
 use crate::steqr::sterf;
 use crate::EigenError;
 use tg_matrix::Mat;
-use tridiag_core::{tridiagonalize_ws, AllocPool, DbbrConfig, Method, WorkspacePool};
+use tridiag_core::{tridiagonalize_ws, AllocPool, DbbrConfig, Method, ShapeClass, WorkspacePool};
 
 /// EVD pipeline selector.
 #[derive(Clone, Debug)]
@@ -81,6 +81,16 @@ impl EvdMethod {
             parallel_sweeps: 4,
             backtransform_k: default_backtransform_k(b, n),
             lookahead: true,
+        }
+    }
+
+    /// Shape class of an `n × n` problem solved with this method (see
+    /// [`Method::shape_class`]).
+    pub fn shape_class(&self, n: usize) -> ShapeClass {
+        match self {
+            EvdMethod::CusolverLike { nb } => ShapeClass { n, b: *nb, k: 0 },
+            EvdMethod::MagmaLike { b } => ShapeClass { n, b: *b, k: 0 },
+            EvdMethod::Proposed { b, k, .. } => ShapeClass { n, b: *b, k: *k },
         }
     }
 }
@@ -272,6 +282,17 @@ mod tests {
                 lookahead: true,
             },
         ]
+    }
+
+    #[test]
+    fn shape_class_mapping() {
+        let c = EvdMethod::proposed_default(256).shape_class(256);
+        assert_eq!(c.n, 256);
+        assert!(c.b > 0 && c.k.is_multiple_of(c.b));
+        assert_eq!(
+            EvdMethod::MagmaLike { b: 8 }.shape_class(64),
+            ShapeClass { n: 64, b: 8, k: 0 }
+        );
     }
 
     #[test]

@@ -1,14 +1,9 @@
 //! The workspace-pool trait used by every `_ws` kernel variant.
 //!
-//! The trait was born in `tridiag-core::workspace` (PR 2) next to the
-//! band-reduction kernels that first consumed it, but the blocked back
-//! transformation pushed pooled scratch *below* the core crate: the
-//! [`crate::wblock`] merge/apply kernels need their `S`, `W₂'` and `WᵀC`
-//! intermediates from the pool too, and `tg-householder` sits underneath
-//! `tridiag-core` in the dependency graph. The trait therefore lives here —
-//! the lowest crate that needs it — and `tridiag_core::WorkspacePool`
-//! re-exports it, so existing callers and implementors (`AllocPool`, the
-//! `tg-batch` arena) are unaffected.
+//! It lives in this crate, the lowest one whose kernels take pooled
+//! scratch: the [`crate::wblock`] merge/apply kernels draw their `S`, `W₂'`
+//! and `WᵀC` intermediates from it. `tridiag_core` re-exports it next to
+//! its two implementations, `AllocPool` and `CachingPool`.
 //!
 //! **Determinism contract:** a pool must return buffers that are
 //! *bitwise-zero*, exactly like `Mat::zeros`. Under that contract the

@@ -202,10 +202,12 @@ impl SymBand {
         (0..self.n).map(|j| self.at(j, j)).collect()
     }
 
-    /// Extracts subdiagonal `k` (length `n − k`).
+    /// Extracts subdiagonal `k` (length `n − k`, empty when `k ≥ n`).
     pub fn subdiag(&self, k: usize) -> Vec<f64> {
         assert!(k < self.ldab);
-        (0..self.n - k).map(|j| self.at(j + k, j)).collect()
+        (0..self.n.saturating_sub(k))
+            .map(|j| self.at(j + k, j))
+            .collect()
     }
 
     /// Interprets a bandwidth-1 matrix as a tridiagonal `(d, e)` pair.
@@ -279,6 +281,9 @@ mod tests {
         assert_eq!(b.subdiag(1).len(), 4);
         assert_eq!(b.diag()[2], a[(2, 2)]);
         assert_eq!(b.subdiag(1)[2], a[(3, 2)]);
+        let empty = SymBand::zeros(0, 1);
+        assert!(empty.subdiag(1).is_empty());
+        assert_eq!(empty.to_tridiagonal(0.0).n(), 0);
     }
 
     #[test]

@@ -15,8 +15,8 @@
 //!
 //! [`CacheKey`] identifies a solve by **content**: a splitmix64-based
 //! digest of the input matrix bytes ([`tg_matrix::digest`]) combined with
-//! the solve configuration — shape class `(n, b, k)` (the existing
-//! [`ShapeClass`] math), the method variant and its bitwise-relevant
+//! the solve configuration — shape class `(n, b, k)`
+//! ([`EvdMethod::shape_class`]), the method variant and its bitwise-relevant
 //! parameters, and `want_vectors`. `parallel_sweeps` is deliberately
 //! **excluded**: `tests/bc_determinism.rs` pins results bitwise-identical
 //! across sweep counts, so including it would only fragment the cache.
@@ -31,23 +31,23 @@
 //! fault fired, results containing non-finite values, solver errors, and
 //! panics — so nothing mid-retry can reach [`EvdCache::insert`].
 //! Fallback-path results are cacheable because the serial reference path
-//! is bitwise-identical to the arena path by contract. A debug verify
+//! is bitwise-identical to the pooled path by contract. A debug verify
 //! knob (`ServeConfig::verify_hits` / `TG_CACHE_VERIFY=1`) re-solves on
 //! every hit and asserts bitwise equality.
 //!
 //! # Storage
 //!
-//! A bounded LRU keyed by [`CacheKey`]: per-entry sizes use the arena's
-//! byte math (stored `f64`s × 8, plus fixed bookkeeping), a byte budget
+//! A bounded LRU keyed by [`CacheKey`]: per-entry sizes use the workspace
+//! pool's byte math (stored `f64`s × 8, plus fixed bookkeeping), a byte budget
 //! caps the total, and insertion evicts least-recently-used entries until
 //! the new entry fits. An entry larger than the whole budget is never
 //! stored. Lookups and insertions both refresh recency.
 
 use std::collections::HashMap;
 
-use tg_batch::ShapeClass;
 use tg_eigen::{Evd, EvdMethod};
 use tg_matrix::{ContentHasher, Mat};
+use tridiag_core::ShapeClass;
 
 /// Content-addressed identity of one solve: input-matrix digest plus the
 /// bitwise-relevant solve configuration.
@@ -55,8 +55,8 @@ use tg_matrix::{ContentHasher, Mat};
 pub struct CacheKey {
     /// Digest of the input matrix (shape + every stored byte).
     pub digest: u64,
-    /// Shape class `(n, b, k)` — the same triple the workspace arena keys
-    /// buffers by.
+    /// Shape class `(n, b, k)` — the same triple a worker's
+    /// [`tridiag_core::CachingPool`] keys its cache by.
     pub class: ShapeClass,
     /// Method variant discriminant (parameters are folded into `digest`).
     pub method_tag: u8,
@@ -108,14 +108,14 @@ impl CacheKey {
         h.write_u64(want_vectors as u64);
         CacheKey {
             digest: h.finish(),
-            class: ShapeClass::for_evd(n, method),
+            class: method.shape_class(n),
             method_tag,
             want_vectors,
         }
     }
 }
 
-/// Bytes a stored result occupies, using the arena's size math (stored
+/// Bytes a stored result occupies, using the workspace pool's size math (stored
 /// `f64`s × 8) plus fixed per-entry bookkeeping (key, stamps, map slot).
 pub fn result_bytes(evd: &Evd) -> u64 {
     let values = evd.eigenvalues.len() as u64;

@@ -15,12 +15,12 @@
 use std::collections::HashMap;
 
 use proptest::prelude::*;
-use tg_batch::ShapeClass;
 use tg_eigen::{Evd, EvdMethod};
 use tg_matrix::gen;
 use tg_serve::{
     result_bytes, CacheKey, EvdCache, JobService, JobSpec, JobStatus, ServeConfig, ENTRY_OVERHEAD,
 };
+use tridiag_core::ShapeClass;
 
 fn splitmix64(s: &mut u64) -> u64 {
     *s = s.wrapping_add(0x9e37_79b9_7f4a_7c15);

@@ -58,7 +58,7 @@ pub use tridiag_core as core;
 
 /// Everything a downstream user typically needs.
 pub mod prelude {
-    pub use tg_batch::{BatchScheduler, WorkspaceArena};
+    pub use tg_batch::BatchScheduler;
     pub use tg_eigen::{
         bisect_evd, jacobi_evd, sbevd::sbevd, stedc, steqr, sterf, sterf_pwk, syevd, syevd_batched,
         Evd, EvdMethod,

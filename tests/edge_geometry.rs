@@ -5,7 +5,7 @@ use tridiag_gpu::prelude::*;
 
 #[test]
 fn tiny_matrices_all_pipelines() {
-    for n in [1usize, 2, 3, 4] {
+    for n in [0usize, 1, 2, 3, 4] {
         let a = gen::random_symmetric(n, n as u64);
         for m in [
             Method::Direct { nb: 2 },
@@ -17,6 +17,7 @@ fn tiny_matrices_all_pipelines() {
                 cfg: DbbrConfig::new(1, 2),
                 parallel_sweeps: 2,
             },
+            Method::paper_default(n),
         ] {
             let mut w = a.clone();
             let red = tridiagonalize(&mut w, &m);
@@ -162,4 +163,38 @@ fn generators_accept_degenerate_sizes() {
     assert_eq!(gen::random_tridiagonal(0, 1).n(), 0);
     let t = gen::tight_binding_1d(1, 1.0, 0.5, 2);
     assert_eq!(t.e.len(), 0);
+}
+
+/// n ∈ {0, 1, 2, 3} through every EVD pipeline, values and vectors: an
+/// empty matrix gives the empty result, and the tiny ones give the
+/// spectrum the direct pipeline computes.
+#[test]
+fn empty_and_tiny_matrices_every_evd_method() {
+    for n in 0..4usize {
+        let a = gen::random_symmetric(n, 40 + n as u64);
+        let methods = [
+            EvdMethod::CusolverLike { nb: 32 },
+            EvdMethod::MagmaLike { b: 2 },
+            EvdMethod::proposed_default(n),
+        ];
+        let reference = syevd(&mut a.clone(), &methods[0], false).unwrap();
+        assert_eq!(reference.eigenvalues.len(), n);
+        for m in &methods {
+            for want_vectors in [false, true] {
+                let e = syevd(&mut a.clone(), m, want_vectors)
+                    .unwrap_or_else(|err| panic!("n={n} {m:?}: {err}"));
+                assert_eq!(e.eigenvalues.len(), n, "n={n} {m:?}");
+                for (x, y) in e.eigenvalues.iter().zip(&reference.eigenvalues) {
+                    assert!((x - y).abs() < 1e-12, "n={n} {m:?}: {x} vs {y}");
+                }
+                assert_eq!(e.eigenvectors.is_some(), want_vectors);
+                if let Some(v) = &e.eigenvectors {
+                    assert_eq!((v.nrows(), v.ncols()), (n, n), "n={n} {m:?}");
+                    if n > 0 {
+                        assert!(e.residual(&a) < 1e-12, "n={n} {m:?}");
+                    }
+                }
+            }
+        }
+    }
 }

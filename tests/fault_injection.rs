@@ -6,12 +6,11 @@
 //! tests serialize on `CheckSession::begin` automatically.
 
 use std::sync::Mutex;
-use tg_batch::{ShapeClass, WorkspaceArena};
 use tg_check::fault::{FaultKind, FaultPlan};
 use tg_check::{CheckConfig, CheckReport, CheckSession};
 use tg_eigen::{syevd, EvdMethod};
 use tg_matrix::gen;
-use tridiag_core::{tridiagonalize, DbbrConfig, Method, WorkspacePool};
+use tridiag_core::{tridiagonalize, CachingPool, DbbrConfig, Method, ShapeClass, WorkspacePool};
 
 /// Serializes the test that sets `TG_THREADS`, which is process-global.
 static ENV_LOCK: Mutex<()> = Mutex::new(());
@@ -124,7 +123,7 @@ fn workspace_checker_fires_on_skipped_scrub() {
         FaultKind::SkipZero,
         0,
     )));
-    let mut arena = WorkspaceArena::new();
+    let mut arena = CachingPool::new();
     arena.begin_problem(ShapeClass { n: 16, b: 4, k: 8 });
     let mut m = arena.acquire(4, 4);
     m.fill(2.0);

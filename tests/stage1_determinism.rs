@@ -114,9 +114,9 @@ fn lookahead_warm_pool_bitwise_matches_cold() {
     let reference = dbbr_ws(&mut a0.clone(), &la_cfg, &mut AllocPool);
     let mut pool = CachingPool::new();
     let cold = dbbr_ws(&mut a0.clone(), &la_cfg, &mut pool);
-    assert!(pool.misses() > 0, "cold pass must allocate");
+    assert!(pool.stats().misses > 0, "cold pass must allocate");
     let warm = dbbr_ws(&mut a0.clone(), &la_cfg, &mut pool);
-    assert!(pool.hits() > 0, "warm pass never hit the pool");
+    assert!(pool.stats().hits > 0, "warm pass never hit the pool");
     assert_reduction_bitwise_eq(&reference, &cold, "cold pool vs alloc");
     assert_reduction_bitwise_eq(&reference, &warm, "warm pool vs alloc");
     std::env::remove_var("TG_THREADS");
