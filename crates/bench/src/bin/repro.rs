@@ -452,7 +452,8 @@ fn gemm_sweep(args: &[String]) {
         &[256, 512, 1024, 2048, 4096]
     };
     println!(
-        "== gemm sweep ({threads} worker threads, {} grid, median of {reps}) ==\n",
+        "== gemm sweep ({threads} worker threads, {} kernel, {} grid, median of {reps}) ==\n",
+        tg_blas::kernel_name(),
         if ci { "reduced CI" } else { "full" }
     );
     let ms = measured::gemm_sweep_reps(sizes, threads, reps);
@@ -511,6 +512,7 @@ fn gemm_sweep(args: &[String]) {
         "schema_version": tg_bench::perf_diff::SCHEMA_VERSION,
         "git_rev": git_revision(),
         "tg_threads": threads,
+        "kernel": tg_blas::kernel_name(),
         "reps": reps,
         "host_threads": threads,
         "note": "median-of-reps on the dev/CI host (2mnk flop convention); \
@@ -549,7 +551,8 @@ fn backtransform_sweep(args: &[String]) {
         &[(96, 8, 32), (128, 8, 64), (192, 8, 64), (256, 16, 128)]
     };
     println!(
-        "== backtransform sweep ({threads} worker threads, {} grid, median of {reps}) ==\n",
+        "== backtransform sweep ({threads} worker threads, {} kernel, {} grid, median of {reps}) ==\n",
+        tg_blas::kernel_name(),
         if ci { "reduced CI" } else { "full" }
     );
     let (ms, hit_rate) = measured::backtransform_sweep_reps(shapes, threads, reps);
@@ -612,6 +615,7 @@ fn backtransform_sweep(args: &[String]) {
         "schema_version": tg_bench::perf_diff::SCHEMA_VERSION,
         "git_rev": git_revision(),
         "tg_threads": threads,
+        "kernel": tg_blas::kernel_name(),
         "reps": reps,
         "host_threads": threads,
         "note": "median-of-reps back-transformation sweep (2n^3 flop convention); \
@@ -639,7 +643,8 @@ fn stage1_sweep(args: &[String]) {
         &[(96, 4, 16), (128, 8, 32), (192, 8, 32), (256, 8, 64)]
     };
     println!(
-        "== stage-1 look-ahead sweep ({threads} worker threads, {} grid, median of {reps}) ==\n",
+        "== stage-1 look-ahead sweep ({threads} worker threads, {} kernel, {} grid, median of {reps}) ==\n",
+        tg_blas::kernel_name(),
         if ci { "reduced CI" } else { "full" }
     );
     let ms = measured::stage1_sweep_reps(shapes, reps);
@@ -690,6 +695,7 @@ fn stage1_sweep(args: &[String]) {
         "schema_version": tg_bench::perf_diff::SCHEMA_VERSION,
         "git_rev": git_revision(),
         "tg_threads": threads,
+        "kernel": tg_blas::kernel_name(),
         "reps": reps,
         "host_threads": threads,
         "note": "median-of-reps stage-1 sweep (4/3 n^3 flop convention); \

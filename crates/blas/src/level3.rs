@@ -8,6 +8,13 @@
 //! the column-oriented axpy kernel here, whose hot loops run over
 //! contiguous column slices so bounds checks vanish (Rust Performance Book
 //! guidance), fanned out over output-column blocks above a size threshold.
+//!
+//! The packed path runs the process's SIMD micro-kernel
+//! ([`crate::kernel::kernel`]: AVX-512F or AVX2+FMA where the CPU has
+//! them, scalar otherwise or under `TG_KERNEL=scalar`); the column kernel
+//! here is plain scalar Rust on every host. Every entry point follows the
+//! BLAS convention for `β = 0`: `C` is overwritten without being read, so
+//! a NaN or Inf already in the output does not survive.
 
 use crate::threads::{run_tasks, Spans};
 use tg_matrix::{Mat, MatMut, MatRef};
@@ -60,6 +67,20 @@ fn count_gemm(m: usize, n: usize, k: usize) {
     }
 }
 
+/// `C ← β·C` with the BLAS convention that `β = 0` overwrites `C`
+/// without reading it, so a NaN or Inf already in `C` does not survive.
+pub(crate) fn scale_by_beta(beta: f64, c: &mut MatMut<'_>) {
+    if beta == 0.0 {
+        c.fill(0.0);
+    } else if beta != 1.0 {
+        for j in 0..c.ncols() {
+            for x in c.col_mut(j) {
+                *x *= beta;
+            }
+        }
+    }
+}
+
 /// Column-block width processed per parallel task.
 const JB: usize = 64;
 
@@ -82,13 +103,7 @@ pub fn gemm(
     assert_eq!(c.nrows(), m, "C row count");
     assert_eq!(c.ncols(), n, "C column count");
 
-    if beta != 1.0 {
-        for j in 0..n {
-            for x in c.col_mut(j) {
-                *x *= beta;
-            }
-        }
-    }
+    scale_by_beta(beta, c);
     if alpha == 0.0 || m == 0 || n == 0 || k == 0 {
         return;
     }
@@ -146,13 +161,7 @@ pub fn gemm_axpy(
     assert_eq!(op_b.rows(b), k, "inner dimensions disagree");
     assert_eq!(c.nrows(), m, "C row count");
     assert_eq!(c.ncols(), n, "C column count");
-    if beta != 1.0 {
-        for j in 0..n {
-            for x in c.col_mut(j) {
-                *x *= beta;
-            }
-        }
-    }
+    scale_by_beta(beta, c);
     if alpha == 0.0 || m == 0 || n == 0 || k == 0 {
         return;
     }
@@ -423,25 +432,54 @@ mod tests {
 
     #[test]
     fn gemm_beta_zero_overwrites_nan() {
-        // beta = 0 must overwrite even NaN-initialized output … the classic
-        // BLAS contract is beta==0 ⇒ C never read. Our kernel multiplies by
-        // beta, so pre-fill with zeros in callers; here we check plain zeros.
-        let a = gen::random(3, 3, 50);
-        let b = gen::random(3, 3, 51);
-        let mut c = Mat::zeros(3, 3);
-        gemm(
-            2.0,
-            &a.as_ref(),
-            Op::NoTrans,
-            &b.as_ref(),
-            Op::NoTrans,
-            0.0,
-            &mut c.as_mut(),
-        );
-        let p = naive_gemm(&a, Op::NoTrans, &b, Op::NoTrans);
-        for j in 0..3 {
-            for i in 0..3 {
-                assert!((c[(i, j)] - 2.0 * p[(i, j)]).abs() < 1e-12);
+        // BLAS contract: beta == 0 ⇒ C is overwritten, never read, so a NaN
+        // or Inf already in the output buffer must not survive. Checked on
+        // every entry point and on both the packed and the column path.
+        type Gemm = fn(f64, &MatRef<'_>, Op, &MatRef<'_>, Op, f64, &mut MatMut<'_>);
+        let entries: [(&str, Gemm); 3] = [
+            ("gemm", gemm),
+            ("gemm_axpy", gemm_axpy),
+            ("gemm_packed", crate::pack::gemm_packed),
+        ];
+        for (m, n, k) in [(3, 3, 3), (40, 36, 33)] {
+            let a = gen::random(m, k, 50);
+            let b = gen::random(k, n, 51);
+            let p = naive_gemm(&a, Op::NoTrans, &b, Op::NoTrans);
+            for (name, f) in entries {
+                let mut c = Mat::from_fn(m, n, |i, j| match (i + j) % 3 {
+                    0 => f64::NAN,
+                    1 => f64::INFINITY,
+                    _ => f64::NEG_INFINITY,
+                });
+                f(
+                    2.0,
+                    &a.as_ref(),
+                    Op::NoTrans,
+                    &b.as_ref(),
+                    Op::NoTrans,
+                    0.0,
+                    &mut c.as_mut(),
+                );
+                for j in 0..n {
+                    for i in 0..m {
+                        assert!(
+                            (c[(i, j)] - 2.0 * p[(i, j)]).abs() < 1e-12,
+                            "{name} {m}x{n}x{k} at ({i},{j}): {}",
+                            c[(i, j)]
+                        );
+                    }
+                }
+                // alpha = 0 too: C becomes exactly +0.0
+                f(
+                    0.0,
+                    &a.as_ref(),
+                    Op::NoTrans,
+                    &b.as_ref(),
+                    Op::NoTrans,
+                    0.0,
+                    &mut c.as_mut(),
+                );
+                assert!(c.as_slice().iter().all(|x| x.to_bits() == 0), "{name}");
             }
         }
     }

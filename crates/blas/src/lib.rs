@@ -12,9 +12,12 @@
 //!   first, then *paired* off-diagonal blocks merged into square GEMMs.
 //!
 //! All kernels operate on `f64` and follow LAPACK lower-triangle conventions
-//! for symmetric updates.
+//! for symmetric updates. The packed GEMM every level-3 product funnels
+//! through runs one register micro-kernel per process — AVX-512F,
+//! AVX2+FMA or portable scalar — chosen in [`kernel`].
 
 pub mod batched;
+pub mod kernel;
 pub mod level1;
 pub mod level2;
 pub mod level3;
@@ -23,6 +26,7 @@ pub mod syr2k;
 pub mod threads;
 pub mod triangular;
 
+pub use kernel::{kernel, kernel_name, Kernel};
 pub use level3::{gemm, gemm_axpy, gemm_into, Op};
 pub use pack::{gemm_packed, gemm_packed_with_threads};
 pub use syr2k::{syr2k_blocked, syr2k_blocked_head, syr2k_square, syr2k_square_head};

@@ -280,6 +280,11 @@ fn with_trace<T>(o: &Opts, f: impl FnOnce() -> T) -> T {
         eprintln!("wrote collapsed-stack flamegraph to {path} (feed to flamegraph.pl / inferno)");
     }
     if o.profile {
+        eprintln!(
+            "worker threads: {}  gemm kernel: {}",
+            tg_blas::threads::describe(),
+            tg_blas::kernel_name()
+        );
         eprint!("{}", trace.profile_table());
     }
     if o.timeline {
@@ -581,6 +586,7 @@ fn main() {
             let n = m.nrows();
             println!("shape: {}x{}", n, m.ncols());
             println!("worker threads: {}", tg_blas::threads::describe());
+            println!("gemm kernel: {}", tg_blas::kernel_name());
             println!("frobenius norm: {:.6e}", tg_matrix::frob_norm(&m));
             let total = n * m.ncols();
             let mut nnz = 0usize;

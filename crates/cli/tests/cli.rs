@@ -202,6 +202,36 @@ fn info_reports_shared_thread_helper() {
 }
 
 #[test]
+fn info_reports_gemm_kernel_and_rejects_unknown_names() {
+    let f = tmp("kern.mtx");
+    bin()
+        .args(["generate", f.to_str().unwrap(), "--n", "8"])
+        .output()
+        .unwrap();
+    let out = bin()
+        .env("TG_KERNEL", "scalar")
+        .args(["info", f.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(text.contains("gemm kernel: scalar"), "{text}");
+
+    // a typo is reported, not silently ignored, and the detected kernel runs
+    let out = bin()
+        .env("TG_KERNEL", "avx9000")
+        .args(["info", f.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("TG_KERNEL=\"avx9000\""), "{err}");
+    let text = String::from_utf8_lossy(&out.stdout);
+    let detected = tg_blas::Kernel::detect().name();
+    assert!(text.contains(&format!("gemm kernel: {detected}")), "{text}");
+}
+
+#[test]
 fn batch_zero_count_and_zero_n_fail_cleanly() {
     // --count 0 is a distinct, clean error (not a panic or empty output).
     let out = bin()

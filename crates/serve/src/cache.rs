@@ -22,7 +22,10 @@
 //! across sweep counts, so including it would only fragment the cache.
 //! `want_vectors` is **included**: a values-only solve finishes through
 //! `sterf`-style iteration while a vectors solve runs divide & conquer,
-//! and their eigenvalues are not bitwise-interchangeable.
+//! and their eigenvalues are not bitwise-interchangeable. So is the GEMM
+//! kernel's fused/unfused tag ([`tg_blas::Kernel::fused`]): the scalar
+//! kernel and the FMA kernels round differently, while the two FMA kernels
+//! agree bitwise.
 //!
 //! # Safety rules
 //!
@@ -64,6 +67,10 @@ pub struct CacheKey {
     /// solves finish through different tridiagonal eigensolvers and are
     /// not bitwise-interchangeable.
     pub want_vectors: bool,
+    /// Whether the solve's GEMM kernel accumulates with fused
+    /// multiply-adds ([`tg_blas::Kernel::fused`]) — fused and unfused
+    /// results differ in their last bits.
+    pub fused_kernel: bool,
 }
 
 impl CacheKey {
@@ -71,6 +78,17 @@ impl CacheKey {
     /// byte of the matrix — `O(n²)` — so callers should derive the key
     /// *outside* any service lock.
     pub fn derive(matrix: &Mat, method: &EvdMethod, want_vectors: bool) -> CacheKey {
+        CacheKey::derive_for_kernel(matrix, method, want_vectors, tg_blas::kernel().fused())
+    }
+
+    /// [`CacheKey::derive`] for a solve on a fused (`true`) or unfused
+    /// GEMM kernel rather than on this process's kernel.
+    fn derive_for_kernel(
+        matrix: &Mat,
+        method: &EvdMethod,
+        want_vectors: bool,
+        fused_kernel: bool,
+    ) -> CacheKey {
         let n = matrix.nrows();
         let mut h = ContentHasher::new();
         h.write_u64(n as u64);
@@ -106,11 +124,13 @@ impl CacheKey {
         };
         h.write_u64(method_tag as u64);
         h.write_u64(want_vectors as u64);
+        h.write_u64(fused_kernel as u64);
         CacheKey {
             digest: h.finish(),
             class: method.shape_class(n),
             method_tag,
             want_vectors,
+            fused_kernel,
         }
     }
 }
@@ -288,6 +308,7 @@ mod tests {
             class: ShapeClass { n: 4, b: 2, k: 0 },
             method_tag: 2,
             want_vectors: false,
+            fused_kernel: false,
         }
     }
 
@@ -359,6 +380,22 @@ mod tests {
         assert_ne!(
             CacheKey::derive(&a, &m, false),
             CacheKey::derive(&a, &EvdMethod::CusolverLike { nb: 32 }, false)
+        );
+    }
+
+    #[test]
+    fn key_separates_fused_and_unfused_kernels() {
+        let a = tg_matrix::gen::random_symmetric(6, 5);
+        let m = EvdMethod::proposed_default(6);
+        let fused = CacheKey::derive_for_kernel(&a, &m, true, true);
+        let unfused = CacheKey::derive_for_kernel(&a, &m, true, false);
+        assert_ne!(fused, unfused);
+        assert_ne!(fused.digest, unfused.digest, "the tag is in the digest");
+        // stable within a process, and `derive` uses this process's kernel
+        assert_eq!(fused, CacheKey::derive_for_kernel(&a, &m, true, true));
+        assert_eq!(
+            CacheKey::derive(&a, &m, true),
+            CacheKey::derive_for_kernel(&a, &m, true, tg_blas::kernel().fused())
         );
     }
 

@@ -43,6 +43,7 @@ fn key_of(tag: u64) -> CacheKey {
         class: ShapeClass { n: 8, b: 2, k: 0 },
         method_tag: 2,
         want_vectors: false,
+        fused_kernel: false,
     }
 }
 
