@@ -56,7 +56,7 @@ const PAR_THRESHOLD: usize = 128 * 128;
 /// blocked drivers that decompose into GEMM calls are not double-counted,
 /// and the totals match the `gpu-sim` analytic formulas exactly.
 #[inline]
-fn count_gemm(m: usize, n: usize, k: usize) {
+pub(crate) fn count_gemm(m: usize, n: usize, k: usize) {
     if tg_trace::enabled() {
         tg_trace::add(tg_trace::Counter::Flops, 2 * (m * n * k) as u64);
         tg_trace::add(
@@ -294,8 +294,10 @@ pub fn syr2k_ref(alpha: f64, a: &MatRef<'_>, b: &MatRef<'_>, beta: f64, c: &mut 
 
 /// Symmetric-matrix × dense-matrix product using only the **lower** triangle
 /// of `A`: `C ← α·A·B + β·C` with `A` symmetric `n × n`, `B`, `C` `n × k`.
+/// Runs one `symv` per column under a `blas.symm` span.
 pub fn symm_lower(alpha: f64, a: &MatRef<'_>, b: &MatRef<'_>, beta: f64, c: &mut MatMut<'_>) {
     let n = a.nrows();
+    let _span = tg_trace::span_cat("blas.symm", "kernel", Some(("n", n as u64)));
     assert_eq!(a.ncols(), n);
     assert_eq!(b.nrows(), n);
     assert_eq!(c.nrows(), n);

@@ -21,6 +21,7 @@ pub mod kernel;
 pub mod level1;
 pub mod level2;
 pub mod level3;
+pub mod narrow;
 pub mod pack;
 pub mod syr2k;
 pub mod threads;

@@ -190,6 +190,36 @@ mod tests {
         crate::backtransform::release_blocks(blocks, &mut AllocPool);
     }
 
+    /// The production panel apply of the grouped blocks, on every kernel
+    /// build this CPU runs, against the reflector-by-reflector apply.
+    #[test]
+    fn narrow_panel_apply_matches_reflectors_on_every_kernel() {
+        use crate::backtransform::{apply_blocks_panels_with_kernel, release_blocks, PanelPools};
+        use crate::PANEL_COLS;
+        use tg_blas::Kernel;
+        // b = 2, 3 < SWEEP_GROUP (blocks narrower than 4); b = 9 full
+        // groups. Every n leaves a ragged last panel.
+        for (n, b, seed) in [(37usize, 2usize, 21u64), (45, 3, 23), (70, 9, 25)] {
+            assert_ne!(n % PANEL_COLS, 0);
+            let res = setup(n, b, seed);
+            let blocks = res.sweep_blocks_ws(&mut AllocPool);
+            assert!(
+                blocks.iter().any(|(o, f)| o + f.w.nrows() == n),
+                "a block ends on row n − 1"
+            );
+            let c0 = gen::random(n, n, seed + 1);
+            let mut reference = c0.clone();
+            res.apply_q_left(&mut reference, false);
+            for kernel in Kernel::ALL.into_iter().filter(|k| k.is_available()) {
+                let mut c = c0.clone();
+                apply_blocks_panels_with_kernel(&blocks, &mut c, 2, &mut PanelPools::new(), kernel);
+                let err = max_abs_diff(&reference, &c);
+                assert!(err < 1e-12, "n = {n}, b = {b}, {kernel:?}: {err}");
+            }
+            release_blocks(blocks, &mut AllocPool);
+        }
+    }
+
     #[test]
     fn blocked_q_is_orthogonal() {
         let res = setup(22, 4, 7);

@@ -333,6 +333,54 @@ pub fn check_backtransform(n: usize, b: usize, k: usize) -> Vec<ModelRow> {
     ]
 }
 
+/// Reconciles the Q₂ (bulge-chasing) apply's traced flops with the
+/// formula behind perfbench's `core.backtransform.apply.flops_performed`,
+/// `Σ 4·rows·width·ncols` over the grouped sweep blocks, **exactly**.
+///
+/// Runs the with-vectors back transformation's real block list — Q₁'s
+/// merged width-`k` blocks, then Q₂'s grouped blocks — through
+/// `apply_blocks_panels` and sums the [`Counter::Flops`] of the
+/// `backtransform.apply_narrow` spans. With `b > SWEEP_GROUP` every Q₁
+/// block is wider than the narrow limit, so those spans hold the Q₂ apply
+/// and nothing else: the row also checks that the trace separates it from
+/// the Q₁ apply.
+pub fn check_q2_apply(n: usize, b: usize, k: usize) -> Vec<ModelRow> {
+    use tridiag_core::backtransform::{apply_blocks_panels, merge_q1_blocked_ws, release_blocks};
+    use tridiag_core::bc::backward::SWEEP_GROUP;
+    use tridiag_core::{band_reduce, bulge_chase_seq, AllocPool, PanelPools};
+
+    assert!(
+        b > SWEEP_GROUP,
+        "Q₁ blocks must be wider than the narrow limit"
+    );
+    let mut a = gen::random_symmetric(n, 73);
+    let red = band_reduce(&mut a, b, 8);
+    let q2 = bulge_chase_seq(&red.band).sweep_blocks_ws(&mut AllocPool);
+    let modeled: usize = q2
+        .iter()
+        .map(|(_, f)| 4 * f.w.nrows() * f.width() * n)
+        .sum();
+    let mut blocks = merge_q1_blocked_ws(&red.factors, k, &mut AllocPool);
+    blocks.extend(q2);
+    let mut c = gen::random(n, n, 74);
+    let t = measure(|| apply_blocks_panels(&blocks, &mut c, 2, &mut PanelPools::new()));
+    release_blocks(blocks, &mut AllocPool);
+    let measured: u64 = t
+        .events
+        .iter()
+        .filter(|e| e.name == "backtransform.apply_narrow")
+        .map(|e| e.counter(Counter::Flops))
+        .sum();
+    vec![ModelRow {
+        kernel: "q2_apply",
+        shape: (n, b, k),
+        quantity: "flops",
+        measured: measured as f64,
+        modeled: modeled as f64,
+        tol: 0.0,
+    }]
+}
+
 /// Reconciles DBBR's stage-1 look-ahead schedule against the replayed
 /// overlap model ([`crate::compose::stage1_overlap_schedule`]), all on
 /// deterministic counters:
@@ -627,6 +675,16 @@ mod tests {
                     r.modeled,
                     r.rel_err() * 100.0
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn q2_apply_flops_reconcile_exactly() {
+        for (n, b, k) in [(64usize, 8usize, 16usize), (70, 5, 10)] {
+            for r in check_q2_apply(n, b, k) {
+                assert_eq!(r.measured, r.modeled, "{:?}", r.shape);
+                assert!(r.modeled > 0.0);
             }
         }
     }
