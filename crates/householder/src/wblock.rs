@@ -15,12 +15,13 @@
 //!   *levels* of pairs with batched GEMMs until each accumulated block
 //!   reaches a target width `k`, then apply the few wide blocks.
 //!
-//! The `_ws` variants ([`merge_pair_ws`], [`merge_to_width_ws`],
-//! [`WyPair::apply_left_ws`]) draw every temporary — the `S = Y₁ᵀW₂` merge
-//! scratch, the concatenated wide `W`/`Y` storage, the `YᵀC` apply
-//! intermediate — from a [`WorkspacePool`] instead of the allocator. Under
-//! the pool's bitwise-zero contract they perform the identical
-//! floating-point operations as the allocating versions. Every merge path
+//! The `_ws` variants ([`merge_pair_ws`], [`merge_to_width_ws`]) draw
+//! every temporary — the `S = Y₁ᵀW₂` merge scratch, the concatenated wide
+//! `W`/`Y` storage — from a [`WorkspacePool`] instead of the allocator,
+//! and [`WyPair::apply_left_in`] writes its `YᵀC` intermediate into
+//! caller-owned scratch. Under the pool's bitwise-zero contract they
+//! perform the identical floating-point operations as the allocating
+//! versions. Every merge path
 //! also tallies its arithmetic (4·rows·ka·kb flops per pair: two
 //! `rows × ka × kb` GEMMs) against [`tg_trace::Counter::MergeFlops`], which
 //! the gpu-sim model cross-check reconciles against the Algorithm-3 cost
@@ -64,12 +65,14 @@ impl WyPair {
         );
     }
 
-    /// Like [`WyPair::apply_left`] but draws the `Yᵀ C` intermediate from
-    /// `pool`. Bitwise-identical to the allocating version for any pool
-    /// honoring the zero contract (the intermediate is consumed with
-    /// `beta = 0`, exactly as `gemm_into` computes it).
-    pub fn apply_left_ws(&self, c: &mut MatMut<'_>, pool: &mut dyn WorkspacePool) {
-        let mut x = pool.acquire(self.y.ncols(), c.ncols());
+    /// Like [`WyPair::apply_left`] but with the `Yᵀ C` intermediate
+    /// written into `scratch` (at least `width · c.ncols()` doubles;
+    /// contents ignored, since the product is stored with `β = 0`, exactly
+    /// as `gemm_into` computes it). Bitwise-identical to the allocating
+    /// version.
+    pub fn apply_left_in(&self, c: &mut MatMut<'_>, scratch: &mut [f64]) {
+        let (k, cols) = (self.width(), c.ncols());
+        let mut x = MatMut::from_parts(k, cols, k.max(1), &mut scratch[..k * cols]);
         gemm(
             1.0,
             &self.y.as_ref(),
@@ -77,18 +80,17 @@ impl WyPair {
             &c.rb(),
             Op::NoTrans,
             0.0,
-            &mut x.as_mut(),
+            &mut x,
         );
         gemm(
             -1.0,
             &self.w.as_ref(),
             Op::NoTrans,
-            &x.as_ref(),
+            &x.rb(),
             Op::NoTrans,
             1.0,
             c,
         );
-        pool.release(x);
     }
 
     /// Applies `I − W Yᵀ` from the **right**: `C ← C − (C W) Yᵀ`.
@@ -529,15 +531,17 @@ mod tests {
     }
 
     #[test]
-    fn apply_left_ws_is_bitwise_identical() {
+    fn apply_left_in_is_bitwise_identical() {
         let n = 16;
         let f = random_factor(n, 4, 99);
         let c0 = gen::random(n, 6, 100);
         let mut plain = c0.clone();
         f.apply_left(&mut plain.as_mut());
-        let mut pooled = c0;
-        f.apply_left_ws(&mut pooled.as_mut(), &mut ZeroPool);
-        assert_eq!(plain, pooled);
+        let mut scratched = c0;
+        // Stale scratch contents must not leak into the result.
+        let mut scratch = vec![f64::NAN; 4 * 6 + 3];
+        f.apply_left_in(&mut scratched.as_mut(), &mut scratch);
+        assert_eq!(plain, scratched);
     }
 
     #[test]
