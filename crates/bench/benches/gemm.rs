@@ -7,7 +7,7 @@ use tg_matrix::{gen, Mat};
 fn bench_gemm(c: &mut Criterion) {
     let mut g = c.benchmark_group("gemm");
     g.sample_size(10);
-    for &n in &[64usize, 128, 256] {
+    for &n in &[64usize, 128, 256, 512] {
         let a = gen::random(n, n, 1);
         let b = gen::random(n, n, 2);
         g.throughput(Throughput::Elements(tg_blas::flops::gemm(n, n, n)));

@@ -28,20 +28,6 @@
 //! repro roofline            # arithmetic-intensity placement of key kernels
 //! repro whatif              # hardware-scaling what-if scenarios
 //! repro fig10               # L2 cache-simulation hit rates (layout study)
-//! repro measured [n]        # CPU-scale measured shape checks (real kernels)
-//! repro gemm_sweep [--ci] [--reps k] [--out path]
-//!                           # GEMM dispatch-path throughput sweep -> BENCH_PR4.json
-//! repro backtransform_sweep [--ci] [--reps k] [--out path]
-//!                           # back transformation: conventional vs pooled
-//!                           # panel-parallel -> BENCH_PR9.json; --ci gates
-//!                           # a 0.7x parallel-vs-serial floor and >=90%
-//!                           # panel-pool steady-state hit rate
-//! repro stage1_sweep [--ci] [--reps k] [--out path]
-//!                           # stage-1 DBBR: serial deferred update vs
-//!                           # depth-1 look-ahead -> BENCH_PR10.json; --ci
-//!                           # gates a 0.7x lookahead-vs-serial floor
-//! repro perf_diff <base.json> <cand.json> [--advisory] [--tol x]
-//!                           # noise-aware perf-regression gate over two sweep artifacts
 //! repro batch_scaling       # batched EVD: modeled GPU scaling + measured CPU-scale run
 //! repro model_vs_measured   # traced-counter vs analytic-formula cross-check
 //! repro json                # machine-readable dump of all model figures
@@ -81,17 +67,6 @@ fn main() {
         "fig14" => fig14(),
         "fig15" => fig15(),
         "fig16" => fig16(),
-        "measured" => {
-            let n = args
-                .get(1)
-                .and_then(|s| s.parse::<usize>().ok())
-                .unwrap_or(192);
-            measured_suite(n);
-        }
-        "gemm_sweep" => gemm_sweep(&args[1..]),
-        "backtransform_sweep" => backtransform_sweep(&args[1..]),
-        "stage1_sweep" => stage1_sweep(&args[1..]),
-        "perf_diff" => perf_diff(&args[1..]),
         "anchors" => anchors(),
         "ablation" => ablation(),
         "tune" => tune(),
@@ -120,7 +95,7 @@ fn main() {
         "json" => json_dump(),
         other => {
             eprintln!("unknown subcommand: {other}");
-            eprintln!("usage: repro [all|table1|fig4|fig5|fig8|fig9|fig11|fig12|fig14|fig15|fig16|measured [n]|gemm_sweep [--ci] [--reps k] [--out path]|backtransform_sweep [--ci] [--reps k] [--out path]|stage1_sweep [--ci] [--reps k] [--out path]|perf_diff <base> <cand> [--advisory] [--tol x]|verify [n]|golden_regen|fault_campaign [--serve]|serve_soak [--seconds s] [--n size] [--rate-mult x] [--trace-out path]|cache_soak [--ci] [--seconds s] [--n size] [--pool p] [--zipf a] [--trace-out path]|batch_scaling|model_vs_measured|json]");
+            eprintln!("usage: repro [all|table1|fig4|fig5|fig8|fig9|fig11|fig12|fig14|fig15|fig16|verify [n]|golden_regen|fault_campaign [--serve]|serve_soak [--seconds s] [--n size] [--rate-mult x] [--trace-out path]|cache_soak [--ci] [--seconds s] [--n size] [--pool p] [--zipf a] [--trace-out path]|batch_scaling|model_vs_measured|json]");
             std::process::exit(2);
         }
     }
@@ -368,411 +343,6 @@ fn fig16() {
             &rows
         )
     );
-}
-
-fn measured_suite(n: usize) {
-    println!("measured suite on real Rust kernels (single host, n = {n})\n");
-    let header = ["kernel", "param", "time", "GFLOP/s"];
-
-    let ms = measured::syr2k_sweep(n, &[8, 32, 128, n.min(256)]);
-    println!(
-        "{}",
-        render_table(
-            "measured: syr2k rank sweep",
-            &header,
-            &measured::to_rows(&ms)
-        )
-    );
-
-    let b = (n / 16).clamp(2, 32);
-    let ms = measured::band_reduction_compare(n, b, 4 * b);
-    println!(
-        "{}",
-        render_table("measured: SBR vs DBBR", &header, &measured::to_rows(&ms))
-    );
-
-    let ms = measured::bulge_chasing_compare(n, b, &[2, 4, 8]);
-    println!(
-        "{}",
-        render_table(
-            "measured: bulge chasing (seq vs pipelined)",
-            &header,
-            &measured::to_rows(&ms)
-        )
-    );
-
-    let ms = measured::backtransform_compare(n, b);
-    println!(
-        "{}",
-        render_table(
-            "measured: back transformation",
-            &header,
-            &measured::to_rows(&ms)
-        )
-    );
-
-    let ms = measured::tridiag_compare(n);
-    println!(
-        "{}",
-        render_table(
-            "measured: tridiagonalization pipelines",
-            &header,
-            &measured::to_rows(&ms)
-        )
-    );
-
-    let ms = measured::evd_compare(n, true);
-    println!(
-        "{}",
-        render_table(
-            "measured: EVD with eigenvectors",
-            &header,
-            &measured::to_rows(&ms)
-        )
-    );
-}
-
-/// GEMM dispatch-path throughput sweep. The full grid writes the
-/// committed `BENCH_PR4.json` artifact (GEMM rows plus a syr2k grid); the
-/// `--ci` reduced grid skips the artifact and instead enforces a *sanity
-/// floor*: packed-parallel must stay within 0.7x of packed-serial
-/// throughput. On a one-core runner the two run the same arithmetic, so
-/// the floor catches a broken parallel driver (lock convoy, per-call
-/// respawn storm) without pinning a flaky absolute GFLOP/s number.
-fn gemm_sweep(args: &[String]) {
-    let ci = args.iter().any(|a| a == "--ci");
-    let reps = flag_value(args, "--reps")
-        .and_then(|s| s.parse::<usize>().ok())
-        .unwrap_or(1);
-    let out_path = flag_value(args, "--out").unwrap_or("BENCH_PR4.json");
-    let threads = tg_blas::worker_threads();
-    let sizes: &[usize] = if ci {
-        &[256, 512, 1024]
-    } else {
-        &[256, 512, 1024, 2048, 4096]
-    };
-    println!(
-        "== gemm sweep ({threads} worker threads, {} kernel, {} grid, median of {reps}) ==\n",
-        tg_blas::kernel_name(),
-        if ci { "reduced CI" } else { "full" }
-    );
-    let ms = measured::gemm_sweep_reps(sizes, threads, reps);
-    println!(
-        "{}",
-        render_table(
-            "measured: square GEMM through the dispatch paths",
-            &["kernel", "n", "time", "GFLOP/s"],
-            &measured::to_rows(&ms)
-        )
-    );
-
-    let syr2k_n = if ci { 512 } else { 1024 };
-    let sy = measured::syr2k_sweep(syr2k_n, &[32, 128, 512]);
-    println!(
-        "{}",
-        render_table(
-            &format!("measured: syr2k rank sweep (n = {syr2k_n})"),
-            &["kernel", "k", "time", "GFLOP/s"],
-            &measured::to_rows(&sy)
-        )
-    );
-
-    if ci {
-        for &n in sizes {
-            let serial = ms
-                .iter()
-                .find(|m| m.param == n && m.label == "packed-serial")
-                .expect("packed-serial row");
-            let par = ms
-                .iter()
-                .find(|m| m.param == n && m.label.starts_with("packed-parallel"))
-                .expect("packed-parallel row");
-            if par.gflops < 0.7 * serial.gflops {
-                eprintln!(
-                    "gemm_sweep: packed-parallel fell below the sanity floor at n = {n}: \
-                     {:.2} GFLOP/s vs {:.2} GFLOP/s serial",
-                    par.gflops, serial.gflops
-                );
-                std::process::exit(1);
-            }
-        }
-        println!("sanity floor passed: packed-parallel >= 0.7x packed-serial at every size");
-        return;
-    }
-
-    let row = |m: &tg_bench::measured::Measurement| {
-        serde_json::json!({
-            "kernel": m.label,
-            "param": m.param,
-            "seconds": m.seconds,
-            "gflops": m.gflops,
-        })
-    };
-    let out = serde_json::json!({
-        "schema_version": tg_bench::perf_diff::SCHEMA_VERSION,
-        "git_rev": git_revision(),
-        "tg_threads": threads,
-        "kernel": tg_blas::kernel_name(),
-        "reps": reps,
-        "host_threads": threads,
-        "note": "median-of-reps on the dev/CI host (2mnk flop convention); \
-                 see EXPERIMENTS.md for the reading",
-        "gemm": ms.iter().map(row).collect::<Vec<_>>(),
-        "syr2k": serde_json::json!({
-            "n": syr2k_n,
-            "rows": sy.iter().map(row).collect::<Vec<_>>(),
-        }),
-    });
-    std::fs::write(out_path, serde_json::to_string_pretty(&out).unwrap() + "\n")
-        .unwrap_or_else(|e| panic!("write {out_path}: {e}"));
-    println!("wrote {out_path}");
-}
-
-/// Back-transformation throughput sweep: conventional `apply_q1` vs the
-/// pooled Figure-13 path, serial and panel-parallel, per `(n, b, k)`
-/// shape. The full grid writes the committed `BENCH_PR9.json` artifact;
-/// `--ci` runs a reduced grid and enforces two gates instead: (a)
-/// blocked-parallel must stay within 0.7x of blocked-serial throughput
-/// (same arithmetic on a one-core runner — the floor catches a broken
-/// panel pool or a respawn storm, not a flaky absolute number), and (b)
-/// the panel pools must reach a >= 90% steady-state hit rate (the
-/// allocation-free hot path). The serial-vs-parallel *bitwise* assert runs
-/// inside the sweep itself on every shape.
-fn backtransform_sweep(args: &[String]) {
-    let ci = args.iter().any(|a| a == "--ci");
-    let reps = flag_value(args, "--reps")
-        .and_then(|s| s.parse::<usize>().ok())
-        .unwrap_or(3);
-    let out_path = flag_value(args, "--out").unwrap_or("BENCH_PR9.json");
-    let threads = tg_blas::worker_threads();
-    let shapes: &[(usize, usize, usize)] = if ci {
-        &[(192, 8, 64), (256, 16, 128)]
-    } else {
-        &[(96, 8, 32), (128, 8, 64), (192, 8, 64), (256, 16, 128)]
-    };
-    println!(
-        "== backtransform sweep ({threads} worker threads, {} kernel, {} grid, median of {reps}) ==\n",
-        tg_blas::kernel_name(),
-        if ci { "reduced CI" } else { "full" }
-    );
-    let (ms, hit_rate) = measured::backtransform_sweep_reps(shapes, threads, reps);
-    println!(
-        "{}",
-        render_table(
-            "measured: back transformation, conventional vs pooled panel-parallel",
-            &["kernel", "n", "time", "GFLOP/s"],
-            &measured::to_rows(&ms)
-        )
-    );
-    println!("panel-pool steady-state hit rate: {:.1}%", 100.0 * hit_rate);
-
-    if ci {
-        for &(n, b, k) in shapes {
-            let find = |prefix: &str| {
-                ms.iter()
-                    .find(|m| {
-                        m.param == n
-                            && m.label.starts_with(prefix)
-                            && m.label.ends_with(&format!("b={b},k={k})"))
-                    })
-                    .unwrap_or_else(|| panic!("{prefix} row for n={n}"))
-            };
-            let serial = find("blocked-serial");
-            let par = find("blocked-parallel");
-            if par.gflops < 0.7 * serial.gflops {
-                eprintln!(
-                    "backtransform_sweep: blocked-parallel fell below the sanity floor at \
-                     n = {n}: {:.2} GFLOP/s vs {:.2} GFLOP/s serial",
-                    par.gflops, serial.gflops
-                );
-                std::process::exit(1);
-            }
-        }
-        if hit_rate < 0.9 {
-            eprintln!(
-                "backtransform_sweep: panel-pool steady-state hit rate {:.1}% < 90% — \
-                 the hot path is allocating",
-                100.0 * hit_rate
-            );
-            std::process::exit(1);
-        }
-        println!(
-            "sanity floors passed: blocked-parallel >= 0.7x blocked-serial at every shape, \
-             hit rate >= 90%"
-        );
-        return;
-    }
-
-    let row = |m: &tg_bench::measured::Measurement| {
-        serde_json::json!({
-            "kernel": m.label,
-            "param": m.param,
-            "seconds": m.seconds,
-            "gflops": m.gflops,
-        })
-    };
-    let out = serde_json::json!({
-        "schema_version": tg_bench::perf_diff::SCHEMA_VERSION,
-        "git_rev": git_revision(),
-        "tg_threads": threads,
-        "kernel": tg_blas::kernel_name(),
-        "reps": reps,
-        "host_threads": threads,
-        "note": "median-of-reps back-transformation sweep (2n^3 flop convention); \
-                 parallel rows are bitwise-identical to serial by construction",
-        "panel_pool_hit_rate": hit_rate,
-        "backtransform": serde_json::json!({
-            "rows": ms.iter().map(row).collect::<Vec<_>>(),
-        }),
-    });
-    std::fs::write(out_path, serde_json::to_string_pretty(&out).unwrap() + "\n")
-        .unwrap_or_else(|e| panic!("write {out_path}: {e}"));
-    println!("wrote {out_path}");
-}
-
-fn stage1_sweep(args: &[String]) {
-    let ci = args.iter().any(|a| a == "--ci");
-    let reps = flag_value(args, "--reps")
-        .and_then(|s| s.parse::<usize>().ok())
-        .unwrap_or(3);
-    let out_path = flag_value(args, "--out").unwrap_or("BENCH_PR10.json");
-    let threads = tg_blas::worker_threads();
-    let shapes: &[(usize, usize, usize)] = if ci {
-        &[(192, 8, 32), (256, 8, 64)]
-    } else {
-        &[(96, 4, 16), (128, 8, 32), (192, 8, 32), (256, 8, 64)]
-    };
-    println!(
-        "== stage-1 look-ahead sweep ({threads} worker threads, {} kernel, {} grid, median of {reps}) ==\n",
-        tg_blas::kernel_name(),
-        if ci { "reduced CI" } else { "full" }
-    );
-    let ms = measured::stage1_sweep_reps(shapes, reps);
-    println!(
-        "{}",
-        render_table(
-            "measured: stage-1 band reduction, serial deferred update vs depth-1 look-ahead",
-            &["kernel", "n", "time", "GFLOP/s"],
-            &measured::to_rows(&ms)
-        )
-    );
-
-    if ci {
-        for &(n, b, k) in shapes {
-            let find = |prefix: &str| {
-                ms.iter()
-                    .find(|m| {
-                        m.param == n
-                            && m.label.starts_with(prefix)
-                            && m.label.ends_with(&format!("b={b},k={k})"))
-                    })
-                    .unwrap_or_else(|| panic!("{prefix} row for n={n}"))
-            };
-            let serial = find("dbbr-serial");
-            let la = find("dbbr-lookahead");
-            if la.gflops < 0.7 * serial.gflops {
-                eprintln!(
-                    "stage1_sweep: look-ahead fell below the sanity floor at n = {n}: \
-                     {:.2} GFLOP/s vs {:.2} GFLOP/s serial",
-                    la.gflops, serial.gflops
-                );
-                std::process::exit(1);
-            }
-        }
-        println!("sanity floors passed: dbbr-lookahead >= 0.7x dbbr-serial at every shape");
-        return;
-    }
-
-    let row = |m: &tg_bench::measured::Measurement| {
-        serde_json::json!({
-            "kernel": m.label,
-            "param": m.param,
-            "seconds": m.seconds,
-            "gflops": m.gflops,
-        })
-    };
-    let out = serde_json::json!({
-        "schema_version": tg_bench::perf_diff::SCHEMA_VERSION,
-        "git_rev": git_revision(),
-        "tg_threads": threads,
-        "kernel": tg_blas::kernel_name(),
-        "reps": reps,
-        "host_threads": threads,
-        "note": "median-of-reps stage-1 sweep (4/3 n^3 flop convention); \
-                 look-ahead rows are bitwise-identical to serial by construction",
-        "stage1": serde_json::json!({
-            "rows": ms.iter().map(row).collect::<Vec<_>>(),
-        }),
-    });
-    std::fs::write(out_path, serde_json::to_string_pretty(&out).unwrap() + "\n")
-        .unwrap_or_else(|e| panic!("write {out_path}: {e}"));
-    println!("wrote {out_path}");
-}
-
-/// Value of `--flag <value>` in `args`, if present.
-fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-}
-
-/// Short git revision of the working tree, for artifact provenance.
-/// `"unknown"` when git is unavailable (e.g. a source tarball).
-fn git_revision() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".to_string())
-}
-
-/// The noise-aware perf-regression gate: `repro perf_diff <base> <cand>`.
-/// Exit 0 = clean, 1 = regression (advisory mode: hard regressions only),
-/// 2 = unusable input (missing file, bad JSON, schema mismatch).
-fn perf_diff(args: &[String]) {
-    use tg_bench::perf_diff::{diff, load_bench};
-    let paths: Vec<&String> = args.iter().filter(|a| !a.starts_with("--")).collect();
-    let advisory = args.iter().any(|a| a == "--advisory");
-    let tol = flag_value(args, "--tol").and_then(|s| s.parse::<f64>().ok());
-    let (base_path, cand_path) = match (paths.first(), paths.get(1)) {
-        (Some(b), Some(c)) => (b.as_str(), c.as_str()),
-        _ => {
-            eprintln!(
-                "usage: repro perf_diff <baseline.json> <candidate.json> [--advisory] [--tol x]"
-            );
-            std::process::exit(2);
-        }
-    };
-    let load = |path: &str| match std::fs::read_to_string(path).map_err(|e| e.to_string()) {
-        Ok(text) => match load_bench(&text) {
-            Ok(f) => f,
-            Err(e) => {
-                eprintln!("perf_diff: {path}: {e}");
-                std::process::exit(2);
-            }
-        },
-        Err(e) => {
-            eprintln!("perf_diff: {path}: {e}");
-            std::process::exit(2);
-        }
-    };
-    let base = load(base_path);
-    let cand = load(cand_path);
-    match diff(&base, &cand, tol) {
-        Ok(report) => {
-            print!("{}", report.render(advisory));
-            std::process::exit(report.exit_code(advisory));
-        }
-        Err(e) => {
-            eprintln!("perf_diff: {e}");
-            std::process::exit(2);
-        }
-    }
 }
 
 fn anchors() {

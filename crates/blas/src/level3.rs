@@ -143,7 +143,8 @@ pub fn gemm(
 }
 
 /// The serial column-oriented axpy kernel, without trace counting: the
-/// naive baseline `repro gemm_sweep` measures the packed kernel against.
+/// path every sub-threshold shape takes, callable directly as the naive
+/// baseline for the packed kernel.
 /// Supports the three op combinations the column kernel implements
 /// natively (everything except `Trans × Trans`).
 pub fn gemm_axpy(

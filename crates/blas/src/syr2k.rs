@@ -41,41 +41,11 @@ pub fn syr2k_blocked(
     c: &mut MatMut<'_>,
     nb: usize,
 ) {
-    let n = c.nrows();
-    syr2k_blocked_head(alpha, a, b, beta, c, nb, n);
-}
-
-/// Head-bounded variant of [`syr2k_blocked`]: updates only the first
-/// `head_cols` column panels of `C`'s lower triangle (rows still run all
-/// the way to the bottom, so the updated region is the full-height strip
-/// `C[.., ..head_cols]` below the diagonal).
-///
-/// `head_cols` must equal `n` or be a multiple of `nb`, so the head call's
-/// panel boundaries coincide with those of a single unsplit call. Under
-/// that alignment, a head call followed by a plain [`syr2k_blocked`] on the
-/// square trailing subview `C[head.., head..]` (with `A`/`B` row-offset by
-/// `head`) touches every lower-triangle element exactly once, via the same
-/// panel task and the same serial inner arithmetic as the unsplit call —
-/// the split is therefore **bitwise-identical** to one full call. This is
-/// the contract DBBR's stage-1 look-ahead relies on.
-pub fn syr2k_blocked_head(
-    alpha: f64,
-    a: &MatRef<'_>,
-    b: &MatRef<'_>,
-    beta: f64,
-    c: &mut MatMut<'_>,
-    nb: usize,
-    head_cols: usize,
-) {
     let (n, _k) = check_shapes(a, b, c);
     assert!(nb > 0);
-    assert!(
-        head_cols <= n && (head_cols == n || head_cols.is_multiple_of(nb)),
-        "head_cols must be n or nb-aligned for the bitwise split contract"
-    );
     let _span = tg_trace::span_cat("blas.syr2k_blocked", "kernel", Some(("n", n as u64)));
     let mut j = 0;
-    while j < head_cols {
+    while j < n {
         let w = nb.min(n - j);
         // diagonal block (triangular part)
         {
@@ -97,7 +67,7 @@ pub fn syr2k_blocked_head(
         }
         j += w;
     }
-    if head_cols > 0 {
+    if n > 0 {
         inject_output_fault(c);
     }
 }
@@ -328,7 +298,7 @@ mod tests {
 
     /// The look-ahead contract: an aligned head call plus a plain call on
     /// the square trailing subview must be bitwise-identical to one full
-    /// call, for both blockings and across ragged shapes.
+    /// call, across ragged shapes.
     #[test]
     fn head_plus_tail_is_bitwise_identical_to_full() {
         for &(n, k, nb, g, head, seed) in &[
@@ -343,60 +313,25 @@ mod tests {
             let b = gen::random(n, k, seed + 1);
             let c0 = gen::random_symmetric(n, seed + 2);
 
-            for square in [false, true] {
-                let mut full = c0.clone();
-                let mut split = c0.clone();
-                if square {
-                    syr2k_square(
-                        -1.0,
-                        &a.as_ref(),
-                        &b.as_ref(),
-                        1.0,
-                        &mut full.as_mut(),
-                        nb,
-                        g,
+            let mut full = c0.clone();
+            let mut split = c0.clone();
+            let (ar, br) = (a.as_ref(), b.as_ref());
+            syr2k_square(-1.0, &ar, &br, 1.0, &mut full.as_mut(), nb, g);
+            syr2k_square_head(-1.0, &ar, &br, 1.0, &mut split.as_mut(), nb, g, head);
+            if head < n {
+                let m = n - head;
+                let at = a.view(head, 0, m, k);
+                let bt = b.view(head, 0, m, k);
+                let mut tail = split.view_mut(head, head, m, m);
+                syr2k_square(-1.0, &at, &bt, 1.0, &mut tail, nb, g);
+            }
+            for j in 0..n {
+                for i in j..n {
+                    assert_eq!(
+                        split[(i, j)].to_bits(),
+                        full[(i, j)].to_bits(),
+                        "split differs at ({i},{j}) n={n} head={head}"
                     );
-                    syr2k_square_head(
-                        -1.0,
-                        &a.as_ref(),
-                        &b.as_ref(),
-                        1.0,
-                        &mut split.as_mut(),
-                        nb,
-                        g,
-                        head,
-                    );
-                } else {
-                    syr2k_blocked(-1.0, &a.as_ref(), &b.as_ref(), 1.0, &mut full.as_mut(), nb);
-                    syr2k_blocked_head(
-                        -1.0,
-                        &a.as_ref(),
-                        &b.as_ref(),
-                        1.0,
-                        &mut split.as_mut(),
-                        nb,
-                        head,
-                    );
-                }
-                if head < n {
-                    let m = n - head;
-                    let at = a.view(head, 0, m, k);
-                    let bt = b.view(head, 0, m, k);
-                    let mut tail = split.view_mut(head, head, m, m);
-                    if square {
-                        syr2k_square(-1.0, &at, &bt, 1.0, &mut tail, nb, g);
-                    } else {
-                        syr2k_blocked(-1.0, &at, &bt, 1.0, &mut tail, nb);
-                    }
-                }
-                for j in 0..n {
-                    for i in j..n {
-                        assert_eq!(
-                            split[(i, j)].to_bits(),
-                            full[(i, j)].to_bits(),
-                            "split differs at ({i},{j}) n={n} head={head} square={square}"
-                        );
-                    }
                 }
             }
         }

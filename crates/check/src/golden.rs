@@ -181,17 +181,7 @@ impl GoldenCorpus {
                 ));
                 continue;
             }
-            let scale = base
-                .spectrum
-                .iter()
-                .fold(0.0f64, |m, &x| m.max(x.abs()))
-                .max(f64::MIN_POSITIVE);
-            let dev = base
-                .spectrum
-                .iter()
-                .zip(&now.spectrum)
-                .fold(0.0f64, |m, (&x, &y)| m.max((x - y).abs()))
-                / scale;
+            let dev = tg_matrix::norms::spectrum_error(&base.spectrum, &now.spectrum);
             if exceeds(dev, self.spectrum_tol) {
                 problems.push(format!(
                     "shape {key:?}: spectrum deviates {dev:.3e} > {:.0e}",
@@ -305,6 +295,12 @@ mod tests {
         let mut bad = c.entries.clone();
         bad[0].orth_residual = f64::NAN;
         assert_eq!(c.compare(&bad).len(), 1);
+        // NaN eigenvalue must fail too
+        let mut bad = c.entries.clone();
+        bad[1].spectrum[2] = f64::NAN;
+        let p = c.compare(&bad);
+        assert_eq!(p.len(), 1);
+        assert!(p[0].contains("spectrum deviates"));
         // missing shape and extra shape
         let p = c.compare(&c.entries[..1]);
         assert_eq!(p.len(), 1);

@@ -19,9 +19,7 @@ use crate::sbr::BandReduction;
 use crate::workspace::{AllocPool, WorkspacePool};
 use tg_blas::level3::symm_lower;
 use tg_blas::threads::{run_tasks, Spans};
-use tg_blas::{
-    gemm, gemm_into, syr2k_blocked, syr2k_blocked_head, syr2k_square, syr2k_square_head, Op,
-};
+use tg_blas::{gemm, gemm_into, syr2k_square, syr2k_square_head, Op};
 use tg_householder::panel::panel_qr;
 use tg_householder::wblock::WyPair;
 use tg_matrix::{Mat, MatMut, SymBand};
@@ -34,11 +32,10 @@ pub struct DbbrConfig {
     /// Accumulation width for the deferred `syr2k` (the paper uses
     /// `k = 1024`); must be a multiple of `b`.
     pub k: usize,
-    /// Internal blocking of the trailing `syr2k`.
+    /// Internal blocking of the trailing `syr2k`, which always uses the
+    /// Figure-7 square-block scheme (the paper's §5.1 optimization) with
+    /// `2 × 2` base blocks per super-block.
     pub nb_syr2k: usize,
-    /// Use the Figure-7 square-block `syr2k` for the trailing update
-    /// (the paper's §5.1 optimization) instead of the conventional one.
-    pub square_syr2k: bool,
     /// Depth-1 look-ahead: factorize the next outer block's first panel
     /// concurrently with the remainder of the deferred trailing update (a
     /// two-task fan-out). Bitwise-identical output either way (see
@@ -105,7 +102,6 @@ impl DbbrConfig {
             b,
             k,
             nb_syr2k: 32,
-            square_syr2k: true,
             lookahead: true,
         })
     }
@@ -270,11 +266,7 @@ pub fn dbbr_ws(a: &mut Mat, cfg: &DbbrConfig, pool: &mut dyn WorkspacePool) -> B
         let t0 = j;
         if kacc > 0 && t0 < n {
             let mt = n - t0;
-            let align = if cfg.square_syr2k {
-                cfg.nb_syr2k * 2 // super-block size of the Figure-7 grid
-            } else {
-                cfg.nb_syr2k
-            };
+            let align = cfg.nb_syr2k * 2; // super-block size of the Figure-7 grid
             let split = (b.div_ceil(align) * align).min(mt);
             // Engage only when a next panel actually exists (t0 + b + 1 < n
             // exactly characterizes "the next outer iteration runs and its
@@ -284,11 +276,7 @@ pub fn dbbr_ws(a: &mut Mat, cfg: &DbbrConfig, pool: &mut dyn WorkspacePool) -> B
                     let zt = zbig.view(t0 - i - b, 0, mt, kacc);
                     let yt = ybig.view(t0 - i - b, 0, mt, kacc);
                     let mut trail = a.view_mut(t0, t0, mt, mt);
-                    if cfg.square_syr2k {
-                        syr2k_square_head(-1.0, &zt, &yt, 1.0, &mut trail, cfg.nb_syr2k, 2, split);
-                    } else {
-                        syr2k_blocked_head(-1.0, &zt, &yt, 1.0, &mut trail, cfg.nb_syr2k, split);
-                    }
+                    syr2k_square_head(-1.0, &zt, &yt, 1.0, &mut trail, cfg.nb_syr2k, 2, split);
                 }
                 let ztail = zbig.view(t0 - i - b + split, 0, mt - split, kacc);
                 let ytail = ybig.view(t0 - i - b + split, 0, mt - split, kacc);
@@ -323,11 +311,7 @@ pub fn dbbr_ws(a: &mut Mat, cfg: &DbbrConfig, pool: &mut dyn WorkspacePool) -> B
                     }
                     Stage1Task::Tail(mut tail) => {
                         let _t = tg_trace::span_cat("task.stage1_tail", "task", None);
-                        if cfg.square_syr2k {
-                            syr2k_square(-1.0, &ztail, &ytail, 1.0, &mut tail, cfg.nb_syr2k, 2);
-                        } else {
-                            syr2k_blocked(-1.0, &ztail, &ytail, 1.0, &mut tail, cfg.nb_syr2k);
-                        }
+                        syr2k_square(-1.0, &ztail, &ytail, 1.0, &mut tail, cfg.nb_syr2k, 2);
                         None
                     }
                 });
@@ -336,11 +320,7 @@ pub fn dbbr_ws(a: &mut Mat, cfg: &DbbrConfig, pool: &mut dyn WorkspacePool) -> B
                 let zt = zbig.view(t0 - i - b, 0, mt, kacc);
                 let yt = ybig.view(t0 - i - b, 0, mt, kacc);
                 let mut trail = a.view_mut(t0, t0, mt, mt);
-                if cfg.square_syr2k {
-                    syr2k_square(-1.0, &zt, &yt, 1.0, &mut trail, cfg.nb_syr2k, 2);
-                } else {
-                    syr2k_blocked(-1.0, &zt, &yt, 1.0, &mut trail, cfg.nb_syr2k);
-                }
+                syr2k_square(-1.0, &zt, &yt, 1.0, &mut trail, cfg.nb_syr2k, 2);
             }
         }
         pool.release(zbig);
@@ -369,11 +349,10 @@ mod tests {
     use super::*;
     use tg_matrix::{gen, orthogonality_residual, similarity_residual};
 
-    fn check(n: usize, b: usize, k: usize, seed: u64, square: bool) {
+    fn check(n: usize, b: usize, k: usize, seed: u64) {
         let a0 = gen::random_symmetric(n, seed);
         let mut a = a0.clone();
         let mut cfg = DbbrConfig::new(b, k);
-        cfg.square_syr2k = square;
         cfg.nb_syr2k = 8;
         let red = dbbr(&mut a, &cfg);
         assert!(
@@ -392,13 +371,12 @@ mod tests {
 
     #[test]
     fn dbbr_various_shapes() {
-        check(24, 2, 8, 1, true);
-        check(24, 2, 8, 2, false);
-        check(30, 3, 6, 3, true);
-        check(33, 4, 8, 4, true); // ragged tail
-        check(20, 4, 4, 5, true); // k == b: degenerates to SBR
-        check(40, 2, 16, 6, true); // k large relative to n
-        check(16, 1, 4, 7, true); // b = 1: direct tridiagonalization
+        check(24, 2, 8, 1);
+        check(30, 3, 6, 3);
+        check(33, 4, 8, 4); // ragged tail
+        check(20, 4, 4, 5); // k == b: degenerates to SBR
+        check(40, 2, 16, 6); // k large relative to n
+        check(16, 1, 4, 7); // b = 1: direct tridiagonalization
     }
 
     #[test]
@@ -465,21 +443,17 @@ mod tests {
             .contains("multiple"));
     }
 
-    /// The tentpole contract: look-ahead on vs off is bitwise-identical —
-    /// band, factor offsets, and every W/Y entry — including ragged tails
-    /// and both syr2k blockings.
+    /// The look-ahead contract: look-ahead on vs off is bitwise-identical —
+    /// band, factor offsets, and every W/Y entry — including ragged tails.
     #[test]
     fn lookahead_is_bitwise_identical_to_serial() {
-        for &(n, b, k, seed, square) in &[
-            (48usize, 4usize, 8usize, 31u64, true),
-            (48, 4, 8, 31, false),
-            (51, 4, 12, 32, true), // ragged last panels, n % k ≠ 0
-            (40, 2, 8, 33, true),
-            (26, 3, 6, 34, false),
+        for &(n, b, k, seed) in &[
+            (48usize, 4usize, 8usize, 31u64),
+            (51, 4, 12, 32), // ragged last panels, n % k ≠ 0
+            (40, 2, 8, 33),
         ] {
             let a0 = gen::random_symmetric(n, seed);
             let mut serial_cfg = DbbrConfig::new(b, k);
-            serial_cfg.square_syr2k = square;
             serial_cfg.nb_syr2k = 4; // small blocks so look-ahead engages
             serial_cfg.lookahead = false;
             let mut la_cfg = serial_cfg.clone();

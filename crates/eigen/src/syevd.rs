@@ -104,8 +104,8 @@ impl EvdMethod {
 /// `O(n·k²)` extra merge flops to buy apply GEMMs with inner dimension
 /// `k` instead of `b`, so `k` should grow with `b` until the merge
 /// overhead catches up with the apply savings. `16b` (4 merge levels)
-/// sits at the flat top of the `repro backtransform_sweep` curve across
-/// the (n, b) grid — by `k = 16b` the apply GEMMs are already square
+/// sat at the flat top of the measured back-transformation sweep
+/// (EXPERIMENTS.md) across the (n, b) grid — by `k = 16b` the apply GEMMs are already square
 /// enough that doubling `k` again buys < 5 % while the merge cost keeps
 /// doubling. The cap of 2048 is the paper's production width (Figure 13);
 /// the clamp to `n` exists because a factor can never act on more than

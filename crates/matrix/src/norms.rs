@@ -150,17 +150,23 @@ pub fn sym_residual(a: &Mat) -> f64 {
 
 /// Maximum relative eigenvalue error between two *sorted* spectra, scaled by
 /// the spectral spread (LAPACK-style `|λ − λ̂| / (‖A‖)`).
+///
+/// A NaN in either spectrum makes the result NaN, so a `value <= tol`
+/// check fails on it (`f64::max` would silently drop the NaN).
 pub fn spectrum_error(exact: &[f64], computed: &[f64]) -> f64 {
     assert_eq!(exact.len(), computed.len());
     let scale = exact
         .iter()
         .fold(0.0f64, |m, &x| m.max(x.abs()))
         .max(f64::MIN_POSITIVE);
-    exact
-        .iter()
-        .zip(computed)
-        .fold(0.0f64, |m, (&x, &y)| m.max((x - y).abs()))
-        / scale
+    exact.iter().zip(computed).fold(0.0f64, |m, (&x, &y)| {
+        let d = (x - y).abs();
+        if m.is_nan() || d <= m {
+            m
+        } else {
+            d
+        }
+    }) / scale
 }
 
 #[cfg(test)]
@@ -238,6 +244,15 @@ mod tests {
     fn spectrum_error_basics() {
         assert_eq!(spectrum_error(&[1.0, 2.0], &[1.0, 2.0]), 0.0);
         assert!((spectrum_error(&[1.0, 2.0], &[1.0, 2.1]) - 0.05).abs() < 1e-12);
+    }
+
+    #[test]
+    fn spectrum_error_propagates_nan() {
+        let exact = [1.0, 2.0, 3.0];
+        assert!(spectrum_error(&exact, &[1.0, f64::NAN, 3.0]).is_nan());
+        assert!(spectrum_error(&exact, &[f64::NAN, 2.0, 3.0]).is_nan());
+        assert!(spectrum_error(&exact, &[1.0, 2.0, f64::NAN]).is_nan());
+        assert!(spectrum_error(&[1.0, f64::NAN, 3.0], &exact).is_nan());
     }
 
     #[test]

@@ -51,9 +51,8 @@ fn assert_reduction_bitwise_eq(
     }
 }
 
-fn cfg_pair(b: usize, k: usize, square: bool) -> (DbbrConfig, DbbrConfig) {
+fn cfg_pair(b: usize, k: usize) -> (DbbrConfig, DbbrConfig) {
     let mut serial = DbbrConfig::new(b, k);
-    serial.square_syr2k = square;
     serial.nb_syr2k = 4; // small blocks so look-ahead engages at test sizes
     serial.lookahead = false;
     let mut la = serial.clone();
@@ -63,20 +62,18 @@ fn cfg_pair(b: usize, k: usize, square: bool) -> (DbbrConfig, DbbrConfig) {
 
 /// Look-ahead is bitwise-identical to the serial deferred update at every
 /// `TG_THREADS`, on aligned and ragged (`n % k ≠ 0`, `n % b ≠ 0`) panel
-/// grids and under both trailing-update blockings. The serial reference is
-/// computed once at one thread — so this also re-asserts that the serial
-/// path itself is thread-count invariant.
+/// grids. The serial reference is computed once at one thread — so this
+/// also re-asserts that the serial path itself is thread-count invariant.
 #[test]
 fn lookahead_bitwise_across_tg_threads() {
     let _guard = ENV_LOCK.lock().unwrap();
-    for &(n, b, k, seed, square) in &[
-        (64usize, 4usize, 8usize, 41u64, true),
-        (64, 4, 8, 41, false),
-        (57, 4, 12, 42, true), // ragged: 57 % 12 ≠ 0, last block short
-        (50, 3, 6, 43, true),  // ragged: 50 % 6 ≠ 0 and 50 % 3 ≠ 0
+    for &(n, b, k, seed) in &[
+        (64usize, 4usize, 8usize, 41u64),
+        (57, 4, 12, 42), // ragged: 57 % 12 ≠ 0, last block short
+        (50, 3, 6, 43),  // ragged: 50 % 6 ≠ 0 and 50 % 3 ≠ 0
     ] {
         let a0 = gen::random_symmetric(n, seed);
-        let (serial_cfg, la_cfg) = cfg_pair(b, k, square);
+        let (serial_cfg, la_cfg) = cfg_pair(b, k);
 
         std::env::set_var("TG_THREADS", "1");
         let reference = dbbr(&mut a0.clone(), &serial_cfg);
@@ -87,13 +84,13 @@ fn lookahead_bitwise_across_tg_threads() {
             assert_reduction_bitwise_eq(
                 &reference,
                 &la,
-                &format!("lookahead n={n} b={b} k={k} square={square} TG_THREADS={t}"),
+                &format!("lookahead n={n} b={b} k={k} TG_THREADS={t}"),
             );
             let serial = dbbr(&mut a0.clone(), &serial_cfg);
             assert_reduction_bitwise_eq(
                 &reference,
                 &serial,
-                &format!("serial n={n} b={b} k={k} square={square} TG_THREADS={t}"),
+                &format!("serial n={n} b={b} k={k} TG_THREADS={t}"),
             );
         }
     }
@@ -109,7 +106,7 @@ fn lookahead_warm_pool_bitwise_matches_cold() {
     std::env::set_var("TG_THREADS", "4");
     let (n, b, k) = (60, 4, 8);
     let a0 = gen::random_symmetric(n, 44);
-    let (_, la_cfg) = cfg_pair(b, k, true);
+    let (_, la_cfg) = cfg_pair(b, k);
 
     let reference = dbbr_ws(&mut a0.clone(), &la_cfg, &mut AllocPool);
     let mut pool = CachingPool::new();
@@ -181,7 +178,7 @@ proptest! {
             let red = tridiagonalize(&mut a.clone(), &Method::Direct { nb: 4 });
             sterf(&red.tri).expect("QL failed on direct path")
         };
-        let (_, la_cfg) = cfg_pair(b, k, true);
+        let (_, la_cfg) = cfg_pair(b, k);
         let lookahead = {
             let red = tridiagonalize(
                 &mut a.clone(),
