@@ -1,10 +1,14 @@
 //! Criterion bench for Figure 14: conventional ormqr-ordered back
-//! transformation vs the Figure-13 blocked-W scheme.
+//! transformation vs the Figure-13 blocked-W scheme (the pooled
+//! panel-parallel path `syevd` runs, at `gemm_threads()` workers).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use tg_blas::threads::gemm_threads;
 use tg_matrix::gen;
-use tridiag_core::backtransform::{apply_q1, apply_q1_blocked};
-use tridiag_core::band_reduce;
+use tridiag_core::backtransform::{
+    apply_blocks_panels, apply_q1, apply_q1_blocked_ws, release_blocks,
+};
+use tridiag_core::{band_reduce, AllocPool, PanelPools};
 
 fn bench_bt(c: &mut Criterion) {
     let mut g = c.benchmark_group("backtransform");
@@ -14,6 +18,8 @@ fn bench_bt(c: &mut Criterion) {
     let mut a = gen::random_symmetric(n, 1);
     let red = band_reduce(&mut a, b, 64);
     let c0 = gen::random(n, n, 2);
+    let workers = gemm_threads();
+    let mut pools = PanelPools::new();
     g.bench_function("conventional", |bench| {
         bench.iter(|| {
             let mut cm = c0.clone();
@@ -24,7 +30,15 @@ fn bench_bt(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("blocked_w", k), &k, |bench, &k| {
             bench.iter(|| {
                 let mut cm = c0.clone();
-                apply_q1_blocked(&red.factors, &mut cm, k)
+                apply_q1_blocked_ws(
+                    &red.factors,
+                    &mut cm,
+                    k,
+                    &mut AllocPool,
+                    workers,
+                    &mut pools,
+                );
+                cm
             });
         });
     }
@@ -43,7 +57,9 @@ fn bench_bt(c: &mut Criterion) {
     g.bench_function("bc_grouped_blocks", |bench| {
         bench.iter(|| {
             let mut cm = c0.clone();
-            bc.apply_q_left_blocked(&mut cm, false);
+            let blocks = bc.sweep_blocks_ws(&mut AllocPool);
+            apply_blocks_panels(&blocks, &mut cm, workers, &mut pools);
+            release_blocks(blocks, &mut AllocPool);
             cm
         });
     });

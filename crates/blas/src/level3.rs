@@ -142,33 +142,6 @@ pub fn gemm(
     }
 }
 
-/// The serial column-oriented axpy kernel, without trace counting: the
-/// path every sub-threshold shape takes, callable directly as the naive
-/// baseline for the packed kernel.
-/// Supports the three op combinations the column kernel implements
-/// natively (everything except `Trans × Trans`).
-pub fn gemm_axpy(
-    alpha: f64,
-    a: &MatRef<'_>,
-    op_a: Op,
-    b: &MatRef<'_>,
-    op_b: Op,
-    beta: f64,
-    c: &mut MatMut<'_>,
-) {
-    let m = op_a.rows(a);
-    let k = op_a.cols(a);
-    let n = op_b.cols(b);
-    assert_eq!(op_b.rows(b), k, "inner dimensions disagree");
-    assert_eq!(c.nrows(), m, "C row count");
-    assert_eq!(c.ncols(), n, "C column count");
-    scale_by_beta(beta, c);
-    if alpha == 0.0 || m == 0 || n == 0 || k == 0 {
-        return;
-    }
-    gemm_block(alpha, a, op_a, b, op_b, 0, c);
-}
-
 /// Splits a mutable view into `(start_col, block)` pairs of width ≤ `jb`.
 fn par_col_blocks<'a>(c: &'a mut MatMut<'_>, jb: usize) -> Vec<(usize, MatMut<'a>)> {
     let n = c.ncols();
@@ -439,11 +412,8 @@ mod tests {
         // or Inf already in the output buffer must not survive. Checked on
         // every entry point and on both the packed and the column path.
         type Gemm = fn(f64, &MatRef<'_>, Op, &MatRef<'_>, Op, f64, &mut MatMut<'_>);
-        let entries: [(&str, Gemm); 3] = [
-            ("gemm", gemm),
-            ("gemm_axpy", gemm_axpy),
-            ("gemm_packed", crate::pack::gemm_packed),
-        ];
+        let entries: [(&str, Gemm); 2] =
+            [("gemm", gemm), ("gemm_packed", crate::pack::gemm_packed)];
         for (m, n, k) in [(3, 3, 3), (40, 36, 33)] {
             let a = gen::random(m, k, 50);
             let b = gen::random(k, n, 51);

@@ -28,7 +28,7 @@ pub mod threads;
 pub mod triangular;
 
 pub use kernel::{kernel, kernel_name, Kernel};
-pub use level3::{gemm, gemm_axpy, gemm_into, Op};
+pub use level3::{gemm, gemm_into, Op};
 pub use pack::{gemm_packed, gemm_packed_with_threads};
 pub use syr2k::{syr2k_blocked, syr2k_square, syr2k_square_head};
 pub use threads::{parse_tg_threads, try_worker_threads, worker_threads, ThreadsConfigError};

@@ -6,18 +6,18 @@
 //!
 //! * [`apply_q1`] — conventional `ormqr` ordering: one factor at a time,
 //!   every GEMM has inner dimension `b` (slow on wide GPUs — Figure 14's
-//!   baseline).
-//! * [`apply_q1_blocked`] — the Figure-13 scheme: factors are merged
-//!   pairwise (batched) into blocks of width `≥ target_k`, then applied;
-//!   the GEMMs become `n × k`-sized at the cost of extra flops for the
-//!   merged `W`s.
-//! * [`apply_q1_blocked_ws`] — the production path: the merge runs **once**
-//!   with pool-backed scratch ([`merge_q1_blocked_ws`]), then the merged
-//!   read-only blocks are applied to fixed-width *column panels* of `C` as
-//!   one task list ([`apply_blocks_panels`]). Within a panel, runs of
-//!   narrow blocks (width ≤ [`SWEEP_GROUP`]: the bulge-chasing Q₂ blocks)
-//!   take the fused row-major kernel of [`tg_blas::narrow`]; wider blocks
-//!   take two GEMMs.
+//!   baseline). It applies any ordered block list, in either direction,
+//!   so it is also the tolerance oracle for the blocked path.
+//! * [`apply_q1_blocked_ws`] — the Figure-13 scheme, and the only blocked
+//!   implementation: factors are merged pairwise (batched) into blocks of
+//!   width `≥ target_k` **once**, with pool-backed scratch
+//!   ([`merge_q1_blocked_ws`]), so the apply GEMMs become `n × k`-sized at
+//!   the cost of extra flops for the merged `W`s. The merged read-only
+//!   blocks are then applied to fixed-width *column panels* of `C` as one
+//!   task list ([`apply_blocks_panels`]). Within a panel, runs of narrow
+//!   blocks (width ≤ [`SWEEP_GROUP`]: the bulge-chasing Q₂ blocks) take the
+//!   fused row-major kernel of [`tg_blas::narrow`]; wider blocks take two
+//!   GEMMs.
 //!
 //! # Why panels split columns, never the factor product
 //!
@@ -38,7 +38,7 @@ use crate::workspace::{CachingPool, PoolStats, WorkspacePool};
 use tg_blas::narrow;
 use tg_blas::threads::{run_tasks, Spans};
 use tg_blas::{gemm, gemm_into, Kernel, Op};
-use tg_householder::wblock::{merge_to_width, merge_to_width_ws, WyPair};
+use tg_householder::wblock::{merge_to_width_ws, WyPair};
 use tg_matrix::{Mat, MatMut};
 
 /// Eigenvector-panel width for the parallel apply. Fixed — deliberately
@@ -85,56 +85,10 @@ fn apply_factor_trans(f: &WyPair, c: &mut MatMut<'_>) {
     );
 }
 
-/// Applies `Q₁` to `C` with the Figure-13 blocked-`W` scheme.
-///
-/// Consecutive factors are grouped until each group holds `target_k / b`
-/// factors; within a group the factors are zero-padded to the group's
-/// leading offset and merged level-by-level with batched GEMMs
-/// ([`merge_to_width`]), then the few wide factors are applied in order.
-pub fn apply_q1_blocked(factors: &[(usize, WyPair)], c: &mut Mat, target_k: usize) {
-    if factors.is_empty() {
-        return;
-    }
-    let b = factors.iter().map(|(_, f)| f.width()).max().unwrap_or(1);
-    let per_group = (target_k / b.max(1)).max(1);
-
-    // Build merged groups (in product order).
-    let mut merged: Vec<(usize, WyPair)> = Vec::new();
-    for chunk in factors.chunks(per_group) {
-        let off0 = chunk[0].0; // smallest offset (offsets ascend)
-        let rows = chunk.iter().map(|(o, f)| f.w.nrows() + o).max().unwrap() - off0;
-        let padded: Vec<WyPair> = chunk
-            .iter()
-            .map(|(o, f)| pad_top(f, o - off0, rows))
-            .collect();
-        let wide = merge_to_width(padded, target_k);
-        for f in wide {
-            merged.push((off0, f));
-        }
-    }
-    // Q₁ C: apply merged factors in reverse product order.
-    for (off, f) in merged.iter().rev() {
-        let mut sub = c.view_mut(*off, 0, f.w.nrows(), c.ncols());
-        f.apply_left(&mut sub);
-    }
-}
-
 /// Zero-pads a factor with `pad` rows on top (embedding it in a larger
-/// identity) so factors with different supports can be merged.
-fn pad_top(f: &WyPair, pad: usize, rows: usize) -> WyPair {
-    let k = f.width();
-    let m = f.w.nrows();
-    assert!(pad + m <= rows);
-    let mut w = Mat::zeros(rows, k);
-    w.view_mut(pad, 0, m, k).copy_from(&f.w.as_ref());
-    let mut y = Mat::zeros(rows, k);
-    y.view_mut(pad, 0, m, k).copy_from(&f.y.as_ref());
-    WyPair { w, y }
-}
-
-/// Pool-backed [`pad_top`]: the padded storage is pool-acquired (caller
-/// releases). Bitwise-identical under the zero contract.
-pub fn pad_top_ws(f: &WyPair, pad: usize, rows: usize, pool: &mut dyn WorkspacePool) -> WyPair {
+/// identity) so factors with different supports can be merged. The padded
+/// storage is pool-acquired (caller releases).
+fn pad_top_ws(f: &WyPair, pad: usize, rows: usize, pool: &mut dyn WorkspacePool) -> WyPair {
     let k = f.width();
     let m = f.w.nrows();
     assert!(pad + m <= rows);
@@ -145,10 +99,13 @@ pub fn pad_top_ws(f: &WyPair, pad: usize, rows: usize, pool: &mut dyn WorkspaceP
     WyPair { w, y }
 }
 
-/// The merge half of [`apply_q1_blocked`], run **once** so the wide blocks
-/// can be shared read-only across all column panels: groups, zero-pads and
-/// merges the factors exactly as the allocating path does, with every
-/// temporary and the merged `W`/`Y` storage drawn from `pool`.
+/// The merge half of [`apply_q1_blocked_ws`], run **once** so the wide
+/// blocks can be shared read-only across all column panels. Consecutive
+/// factors are grouped until each group holds `target_k / b` factors;
+/// within a group the factors are zero-padded to the group's leading
+/// offset and merged level-by-level with batched GEMMs
+/// ([`merge_to_width_ws`]). Every temporary and the merged `W`/`Y`
+/// storage is drawn from `pool`.
 ///
 /// Returns the merged `(offset, factor)` list in product order; every
 /// returned matrix is pool-acquired — release with [`release_blocks`].
@@ -359,12 +316,12 @@ fn apply_narrow_run(
     );
 }
 
-/// The production back transformation: [`merge_q1_blocked_ws`] once, then
-/// the merged blocks applied panel-parallel by [`apply_blocks_panels`].
+/// The Figure-13 back transformation of `Q₁`: [`merge_q1_blocked_ws`]
+/// once, then the merged blocks applied panel-parallel by
+/// [`apply_blocks_panels`].
 ///
-/// Numerically this matches [`apply_q1_blocked`] to merge accuracy (the
-/// merged factors are bitwise-identical; only the apply GEMM shapes
-/// differ), and it is bitwise-identical to *itself* at every `workers`.
+/// Numerically this matches [`apply_q1`] to merge accuracy, and it is
+/// bitwise-identical to *itself* at every `workers`.
 pub fn apply_q1_blocked_ws(
     factors: &[(usize, WyPair)],
     c: &mut Mat,
@@ -388,6 +345,18 @@ mod tests {
     fn setup(n: usize, b: usize, seed: u64) -> Vec<(usize, WyPair)> {
         let mut a = gen::random_symmetric(n, seed);
         band_reduce(&mut a, b, 8).factors
+    }
+
+    /// [`apply_q1_blocked_ws`] with fresh allocating pools.
+    fn apply_blocked(factors: &[(usize, WyPair)], c: &mut Mat, target_k: usize, workers: usize) {
+        apply_q1_blocked_ws(
+            factors,
+            c,
+            target_k,
+            &mut AllocPool,
+            workers,
+            &mut PanelPools::new(),
+        );
     }
 
     #[test]
@@ -424,7 +393,7 @@ mod tests {
             let mut c1 = c0.clone();
             apply_q1(&factors, &mut c1, false);
             let mut c2 = c0.clone();
-            apply_q1_blocked(&factors, &mut c2, target_k);
+            apply_blocked(&factors, &mut c2, target_k, 1);
             assert!(
                 max_abs_diff(&c1, &c2) < 1e-11,
                 "target_k={target_k}: {}",
@@ -441,7 +410,7 @@ mod tests {
         let mut c1 = c0.clone();
         apply_q1(&factors, &mut c1, false);
         let mut c2 = c0.clone();
-        apply_q1_blocked(&factors, &mut c2, 1024);
+        apply_blocked(&factors, &mut c2, 1024, 1);
         assert!(max_abs_diff(&c1, &c2) < 1e-12);
     }
 
@@ -450,40 +419,8 @@ mod tests {
         let c0 = gen::random(5, 2, 40);
         let mut c = c0.clone();
         apply_q1(&[], &mut c, false);
-        apply_q1_blocked(&[], &mut c, 8);
-        apply_q1_blocked_ws(&[], &mut c, 8, &mut AllocPool, 4, &mut PanelPools::new());
+        apply_blocked(&[], &mut c, 8, 4);
         assert_eq!(c, c0);
-    }
-
-    #[test]
-    fn merged_ws_blocks_are_bitwise_identical_to_allocating_merge() {
-        let n = 28;
-        let factors = setup(n, 2, 5);
-        // The allocating path merges inline; replicate its grouping here.
-        let b = factors.iter().map(|(_, f)| f.width()).max().unwrap();
-        for target_k in [4usize, 8] {
-            let per_group = (target_k / b).max(1);
-            let mut expect: Vec<(usize, WyPair)> = Vec::new();
-            for chunk in factors.chunks(per_group) {
-                let off0 = chunk[0].0;
-                let rows = chunk.iter().map(|(o, f)| f.w.nrows() + o).max().unwrap() - off0;
-                let padded: Vec<WyPair> = chunk
-                    .iter()
-                    .map(|(o, f)| pad_top(f, o - off0, rows))
-                    .collect();
-                for f in merge_to_width(padded, target_k) {
-                    expect.push((off0, f));
-                }
-            }
-            let got = merge_q1_blocked_ws(&factors, target_k, &mut AllocPool);
-            assert_eq!(expect.len(), got.len());
-            for ((eo, ef), (go, gf)) in expect.iter().zip(&got) {
-                assert_eq!(eo, go);
-                assert_eq!(ef.w, gf.w, "target_k={target_k}");
-                assert_eq!(ef.y, gf.y, "target_k={target_k}");
-            }
-            release_blocks(got, &mut AllocPool);
-        }
     }
 
     /// Q₁'s merged blocks (width-`target_k` groups) followed by Q₂'s grouped
@@ -517,14 +454,7 @@ mod tests {
         apply_q1(&factors, &mut reference, false);
 
         let mut serial = c0.clone();
-        apply_q1_blocked_ws(
-            &factors,
-            &mut serial,
-            8,
-            &mut AllocPool,
-            1,
-            &mut PanelPools::new(),
-        );
+        apply_blocked(&factors, &mut serial, 8, 1);
         assert!(
             max_abs_diff(&reference, &serial) < 1e-11,
             "{}",
@@ -533,14 +463,7 @@ mod tests {
 
         for workers in [2usize, 3, 4, 7] {
             let mut par = c0.clone();
-            apply_q1_blocked_ws(
-                &factors,
-                &mut par,
-                8,
-                &mut AllocPool,
-                workers,
-                &mut PanelPools::new(),
-            );
+            apply_blocked(&factors, &mut par, 8, workers);
             assert_eq!(serial, par, "workers = {workers} must be bitwise-identical");
         }
 

@@ -25,10 +25,8 @@
 //! so with `G ≤ b` the performed work stays below twice the useful work.
 
 use super::{BcReflector, BcResult};
-use crate::backtransform::{apply_q1, release_blocks};
-use crate::workspace::{AllocPool, WorkspacePool};
+use crate::workspace::WorkspacePool;
 use tg_householder::wblock::WyPair;
-use tg_matrix::Mat;
 
 /// Sweeps per grouped block, before the clamp to the bandwidth `b`.
 /// Picked from the `G` table in EXPERIMENTS.md ("Grouped Q₂ blocks").
@@ -66,19 +64,6 @@ impl BcResult {
             }
         }
         blocks
-    }
-
-    /// `C ← Q₂ C` (or `Q₂ᵀ C`) through the grouped blocks of
-    /// [`Self::sweep_blocks_ws`].
-    ///
-    /// Bitwise this differs from [`BcResult::apply_q_left`] only by
-    /// floating-point reassociation; numerically the results agree to
-    /// machine precision.
-    pub fn apply_q_left_blocked(&self, c: &mut Mat, trans: bool) {
-        let blocks = self.sweep_blocks_ws(&mut AllocPool);
-        // `apply_q1` applies any ordered block list, not only Q₁'s.
-        apply_q1(&blocks, c, trans);
-        release_blocks(blocks, &mut AllocPool);
     }
 }
 
@@ -136,6 +121,9 @@ fn task_block(
 
 #[cfg(test)]
 mod tests {
+    use crate::backtransform::{
+        apply_blocks_panels, apply_blocks_panels_with_kernel, apply_q1, release_blocks, PanelPools,
+    };
     use crate::bc::{bulge_chase_seq, BcResult};
     use crate::workspace::AllocPool;
     use tg_matrix::{gen, max_abs_diff, Mat, SymBand};
@@ -145,13 +133,26 @@ mod tests {
         bulge_chase_seq(&SymBand::from_dense_lower(&dense, b))
     }
 
+    /// `C ← Q₂ C` through the grouped blocks and the production panel
+    /// apply; `C ← Q₂ᵀ C` through the conventional-order apply of the same
+    /// blocks, the only transposed block apply there is.
+    fn apply_grouped(res: &BcResult, c: &mut Mat, trans: bool) {
+        let blocks = res.sweep_blocks_ws(&mut AllocPool);
+        if trans {
+            apply_q1(&blocks, c, true);
+        } else {
+            apply_blocks_panels(&blocks, c, 2, &mut PanelPools::new());
+        }
+        release_blocks(blocks, &mut AllocPool);
+    }
+
     /// Grouped blocks vs the reflector-by-reflector apply, both directions.
     fn assert_matches_reflectors(res: &BcResult, c0: &Mat, tol: f64) {
         for trans in [false, true] {
             let mut reference = c0.clone();
             res.apply_q_left(&mut reference, trans);
             let mut blocked = c0.clone();
-            res.apply_q_left_blocked(&mut blocked, trans);
+            apply_grouped(res, &mut blocked, trans);
             let err = max_abs_diff(&reference, &blocked);
             assert!(err < tol, "trans = {trans}: {err}");
         }
@@ -172,8 +173,8 @@ mod tests {
         let res = setup(18, 2, 3);
         let c0 = gen::random(18, 5, 4);
         let mut c = c0.clone();
-        res.apply_q_left_blocked(&mut c, false);
-        res.apply_q_left_blocked(&mut c, true);
+        apply_grouped(&res, &mut c, false);
+        apply_grouped(&res, &mut c, true);
         assert!(max_abs_diff(&c, &c0) < 1e-12);
     }
 
@@ -187,14 +188,13 @@ mod tests {
             assert!(f.width() <= g && f.w.nrows() < b + g);
             assert!(off + f.w.nrows() <= n);
         }
-        crate::backtransform::release_blocks(blocks, &mut AllocPool);
+        release_blocks(blocks, &mut AllocPool);
     }
 
     /// The production panel apply of the grouped blocks, on every kernel
     /// build this CPU runs, against the reflector-by-reflector apply.
     #[test]
     fn narrow_panel_apply_matches_reflectors_on_every_kernel() {
-        use crate::backtransform::{apply_blocks_panels_with_kernel, release_blocks, PanelPools};
         use crate::PANEL_COLS;
         use tg_blas::Kernel;
         // b = 2, 3 < SWEEP_GROUP (blocks narrower than 4); b = 9 full
@@ -224,7 +224,7 @@ mod tests {
     fn blocked_q_is_orthogonal() {
         let res = setup(22, 4, 7);
         let mut q = Mat::identity(22);
-        res.apply_q_left_blocked(&mut q, false);
+        apply_grouped(&res, &mut q, false);
         assert!(tg_matrix::orthogonality_residual(&q) < 1e-12);
     }
 
@@ -236,7 +236,7 @@ mod tests {
         let res = bulge_chase_seq(&band);
         let c0 = gen::random(8, 3, 9);
         let mut c = c0.clone();
-        res.apply_q_left_blocked(&mut c, false);
+        apply_grouped(&res, &mut c, false);
         assert_eq!(c, c0);
     }
 }

@@ -291,14 +291,17 @@ pub fn dbbr_ws(a: &mut Mat, cfg: &DbbrConfig, pool: &mut dyn WorkspacePool) -> B
                 // Two overlapped tasks on two lanes: factorize the next
                 // panel, and update the tail. Both lanes dispatch their
                 // BLAS serially inside the engine's parallel region —
-                // bitwise-identical to the parallel dispatch.
+                // bitwise-identical to the parallel dispatch. Where no
+                // fan-out is allowed (`gemm_threads()` is 1) both run
+                // inline on the calling thread.
                 let spans = Spans {
                     region: "parallel.stage1",
                     worker: "stage1.worker",
                     task: "task.stage1",
                 };
                 let tasks = vec![Stage1Task::Panel(panel), Stage1Task::Tail(tail)];
-                let outs = run_tasks(spans, tasks, &mut [(); 2], |_, task| match task {
+                let mut lanes = vec![(); tg_blas::threads::gemm_threads().min(2)];
+                let outs = run_tasks(spans, tasks, &mut lanes, |_, task| match task {
                     Stage1Task::Panel(mut panel) => {
                         let _t = tg_trace::span_cat("task.stage1_panel", "task", None);
                         let mp = panel.nrows();
@@ -470,6 +473,50 @@ mod tests {
                 assert_eq!(f1.y, f2.y, "Y differs (n={n},b={b},k={k})");
             }
         }
+    }
+
+    /// The look-ahead obeys the nested-fan-out rule: run inside a lane of
+    /// a multi-lane fan-out (a batch or serve worker), its two tasks run
+    /// inline on that lane instead of spawning a second `stage1.worker`.
+    #[test]
+    fn lookahead_inside_a_parallel_region_stays_on_one_lane() {
+        let a0 = gen::random_symmetric(48, 36);
+        let mut cfg = DbbrConfig::new(4, 8);
+        cfg.nb_syr2k = 4; // small blocks so look-ahead engages
+        let outer = Spans {
+            region: "parallel.lookahead_lane_test",
+            worker: "lookahead_lane_test.worker",
+            task: "lookahead_lane_test.task",
+        };
+        let session = tg_trace::TraceSession::begin();
+        run_tasks(outer, vec![(); 2], &mut [(); 2], |_, ()| {
+            dbbr(&mut a0.clone(), &cfg);
+        });
+        let events = session.finish().events;
+        // Concurrent tests record into the same global session: keep the
+        // stage-1 regions opened on this test's lanes.
+        let outer_id = events
+            .iter()
+            .find(|e| e.name == outer.region)
+            .map(|e| e.region);
+        let lanes: Vec<u64> = events
+            .iter()
+            .filter(|e| Some(e.region) == outer_id && e.cat == "worker")
+            .map(|e| e.tid)
+            .collect();
+        let stage1: Vec<Option<u64>> = events
+            .iter()
+            .filter(|e| e.name == "parallel.stage1" && lanes.contains(&e.tid))
+            .map(|e| e.region)
+            .collect();
+        assert!(!stage1.is_empty(), "look-ahead never engaged");
+        assert!(
+            events
+                .iter()
+                .filter(|e| e.name == "stage1.worker" && stage1.contains(&e.region))
+                .all(|e| e.arg == Some(("w", 0))),
+            "look-ahead spawned a lane inside a region"
+        );
     }
 
     /// Look-ahead through a recycling pool stays bitwise-identical and

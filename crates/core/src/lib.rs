@@ -11,9 +11,10 @@
 //! * [`bc`] — bulge chasing (`Dsb2st`): sequential reference and the
 //!   paper's Algorithm-2 pipelined implementation with atomic progress
 //!   flags,
-//! * [`backtransform`] — assembling `Q` from both stages (conventional
-//!   `ormqr` order, the Figure-13 blocked-`W` scheme, and the pooled
-//!   panel-parallel production path; see `docs/PERFORMANCE.md`),
+//! * [`backtransform`] — assembling `Q` from both stages: conventional
+//!   `ormqr` order (the baseline and tolerance oracle) and the Figure-13
+//!   blocked-`W` scheme, one pooled panel-parallel implementation (see
+//!   `docs/PERFORMANCE.md`),
 //! * [`two_stage`] — end-to-end drivers combining the above.
 
 pub mod backtransform;

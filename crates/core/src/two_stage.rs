@@ -9,7 +9,7 @@
 //!   + pipelined bulge chasing.
 
 use crate::backtransform::{
-    apply_q1, apply_q1_blocked, merge_q1_blocked_ws, release_blocks, PanelPools,
+    apply_blocks_panels, apply_q1, merge_q1_blocked_ws, release_blocks, PanelPools,
 };
 use crate::bc::{bulge_chase_pipelined, bulge_chase_seq, BcResult};
 use crate::dbbr::{dbbr_ws, DbbrConfig};
@@ -109,26 +109,10 @@ impl TridiagResult {
         }
     }
 
-    /// Like [`Self::apply_q`] but uses the blocked back transformations:
-    /// cross-sweep grouped blocks for the BC factor (the §8 future-work
-    /// optimization, see [`crate::bc::backward`]) and the Figure-13
-    /// blocked `W` for the band-reduction factor (two-stage only).
-    pub fn apply_q_blocked(&self, c: &mut Mat, target_k: usize) {
-        match &self.q {
-            QFactors::Direct(_) => self.apply_q(c),
-            QFactors::TwoStage { factors, bc } => {
-                let _span =
-                    tg_trace::span_cat("backtransform", "stage", Some(("n", self.n as u64)));
-                bc.apply_q_left_blocked(c, false);
-                apply_q1_blocked(factors, c, target_k);
-            }
-        }
-    }
-
-    /// The production back transformation (Figure 13 made parallel):
-    /// [`Self::apply_q_blocked`] with every temporary pool-backed and the
-    /// apply partitioned into eigenvector column panels drained by
-    /// `tg_blas::threads::gemm_threads` fork-join lanes.
+    /// [`Self::apply_q`] through the blocked back transformations (Figure
+    /// 13 made parallel): grouped Q₂ blocks ([`crate::bc::backward`]) and
+    /// merged Q₁ blocks, every temporary pool-backed, applied over column
+    /// panels drained by `tg_blas::threads::gemm_threads` fork-join lanes.
     ///
     /// The grouped Q₂ blocks and merged width-`target_k` Q₁ blocks are built
     /// **once** from `pool`, shared read-only across all panels, and
@@ -173,7 +157,7 @@ impl TridiagResult {
                 // single panel pass applies both stages.
                 let mut blocks = merge_q1_blocked_ws(factors, target_k, pool);
                 blocks.extend(bc.sweep_blocks_ws(pool));
-                crate::backtransform::apply_blocks_panels(&blocks, c, workers, panel_pools);
+                apply_blocks_panels(&blocks, c, workers, panel_pools);
                 release_blocks(blocks, pool);
             }
         }
@@ -371,26 +355,6 @@ mod tests {
             assert_eq!(tris[1].sturm_count(x), c0, "SBR count differs at {x}");
             assert_eq!(tris[2].sturm_count(x), c0, "DBBR count differs at {x}");
         }
-    }
-
-    #[test]
-    fn blocked_backtransform_agrees() {
-        let n = 20;
-        let a0 = gen::random_symmetric(n, 20);
-        let mut a = a0.clone();
-        let res = tridiagonalize(
-            &mut a,
-            &Method::Dbbr {
-                cfg: DbbrConfig::new(2, 4),
-                parallel_sweeps: 2,
-            },
-        );
-        let c0 = gen::random(n, 4, 21);
-        let mut c1 = c0.clone();
-        res.apply_q(&mut c1);
-        let mut c2 = c0.clone();
-        res.apply_q_blocked(&mut c2, 8);
-        assert!(tg_matrix::max_abs_diff(&c1, &c2) < 1e-11);
     }
 
     #[test]

@@ -10,37 +10,18 @@
 //! scratch matrix through the pool and return it when done.
 //!
 //! **Determinism contract:** a pool must return buffers that are
-//! *bitwise-zero*, exactly like `Mat::zeros`. Under that contract the
-//! workspace-taking variants perform the identical floating-point
-//! operations as the allocating ones, so their outputs are
-//! bitwise-identical regardless of which pool is used. The default
-//! [`AllocPool`] simply allocates and drops; [`CachingPool`] recycles.
+//! *bitwise-zero*, exactly like `Mat::zeros`, so the output is
+//! bitwise-identical for every pool. Each kernel exists once, pool-backed:
+//! the allocating entry points are literally the `_ws` variants with
+//! [`AllocPool`] (from `tg_householder::pool`), which allocates and drops;
+//! [`CachingPool`] recycles.
 
 use std::collections::BTreeMap;
 
 use tg_matrix::Mat;
 use tg_trace::Counter;
 
-pub use tg_householder::pool::WorkspacePool;
-
-/// The trivial pool: every acquire is a fresh allocation, every release a
-/// drop. [`crate::dbbr`] and [`crate::tridiagonalize`] use this, so the
-/// allocating entry points are literally the `_ws` variants with this pool.
-#[derive(Default)]
-pub struct AllocPool;
-
-impl WorkspacePool for AllocPool {
-    fn acquire(&mut self, rows: usize, cols: usize) -> Mat {
-        // Feed the live-bytes gauge so the single-problem path reports the
-        // same workspace high-water mark the caching pools do.
-        tg_trace::gauge_add(Counter::ArenaLiveBytes, 8 * (rows * cols) as u64);
-        Mat::zeros(rows, cols)
-    }
-
-    fn release(&mut self, m: Mat) {
-        tg_trace::gauge_sub(Counter::ArenaLiveBytes, 8 * (m.nrows() * m.ncols()) as u64);
-    }
-}
+pub use tg_householder::pool::{AllocPool, WorkspacePool};
 
 /// Shape class `(n, b, k)` of one solve. Problems of equal class request
 /// identical buffer-size sequences from the reduction, so a

@@ -2,15 +2,17 @@
 //!
 //! When the input is already banded, stage 1 of the two-stage reduction is
 //! free: go straight to bulge chasing, then divide & conquer, then the
-//! (blocked) bulge-chasing back transformation. This is the natural entry
-//! point for finite-difference/tight-binding operators, which are banded
-//! by construction.
+//! blocked bulge-chasing back transformation — the same grouped Q₂ blocks
+//! and panel-parallel apply `syevd` runs. This is the natural entry point
+//! for finite-difference/tight-binding operators, which are banded by
+//! construction.
 
 use crate::dc::stedc;
 use crate::steqr::sterf;
 use crate::{EigenError, Evd};
 use tg_matrix::SymBand;
-use tridiag_core::bulge_chase_pipelined;
+use tridiag_core::backtransform::{apply_blocks_panels, release_blocks};
+use tridiag_core::{bulge_chase_pipelined, AllocPool, PanelPools};
 
 /// Computes eigenvalues (ascending) and optionally eigenvectors of a
 /// symmetric band matrix via pipelined bulge chasing + divide & conquer.
@@ -40,8 +42,16 @@ pub fn sbevd(
         });
     }
     let (eigenvalues, mut v) = stedc(&bc.tri)?;
-    // back transformation: V ← Q₂ V with the sweep-blocked factors
-    bc.apply_q_left_blocked(&mut v, false);
+    // back transformation: V ← Q₂ V with the grouped sweep blocks, applied
+    // over eigenvector column panels exactly as `syevd` applies them
+    let blocks = bc.sweep_blocks_ws(&mut AllocPool);
+    apply_blocks_panels(
+        &blocks,
+        &mut v,
+        tg_blas::threads::gemm_threads(),
+        &mut PanelPools::new(),
+    );
+    release_blocks(blocks, &mut AllocPool);
     Ok(Evd {
         eigenvalues,
         eigenvectors: Some(v),

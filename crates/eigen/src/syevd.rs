@@ -72,15 +72,23 @@ impl EvdMethod {
         }
     }
 
-    /// Sensible defaults scaled to `n` for the proposed pipeline.
+    /// Sensible defaults scaled to `n` for the proposed pipeline: the
+    /// reduction settings of [`Method::paper_default`], plus
+    /// [`default_backtransform_k`].
     pub fn proposed_default(n: usize) -> EvdMethod {
-        let b = 32.min((n / 8).max(2));
+        let Method::Dbbr {
+            cfg,
+            parallel_sweeps,
+        } = Method::paper_default(n)
+        else {
+            unreachable!("Method::paper_default is a Dbbr method");
+        };
         EvdMethod::Proposed {
-            b,
-            k: (b * 8).min(1024),
-            parallel_sweeps: 4,
-            backtransform_k: default_backtransform_k(b, n),
-            lookahead: true,
+            b: cfg.b,
+            k: cfg.k,
+            parallel_sweeps,
+            backtransform_k: default_backtransform_k(cfg.b, n),
+            lookahead: cfg.lookahead,
         }
     }
 
@@ -286,9 +294,12 @@ mod tests {
 
     #[test]
     fn shape_class_mapping() {
-        let c = EvdMethod::proposed_default(256).shape_class(256);
-        assert_eq!(c.n, 256);
-        assert!(c.b > 0 && c.k.is_multiple_of(c.b));
+        // The default shapes are cache-key inputs: b = min(32, max(2, n/8)),
+        // k = 8b.
+        for (n, b) in [(15, 2), (64, 8), (256, 32), (4096, 32)] {
+            let c = EvdMethod::proposed_default(n).shape_class(n);
+            assert_eq!(c, ShapeClass { n, b, k: 8 * b }, "n = {n}");
+        }
         assert_eq!(
             EvdMethod::MagmaLike { b: 8 }.shape_class(64),
             ShapeClass { n: 64, b: 8, k: 0 }

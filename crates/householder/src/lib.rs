@@ -9,10 +9,10 @@
 //! * [`zy`] — the ZY representation used in two-sided band-reduction
 //!   updates (Equation 1 of the paper),
 //! * [`wblock`] — `W`-matrix accumulation: the paper's recursive
-//!   Algorithm 3 and the incremental batched merge of Figure 13,
+//!   Algorithm 3 and the pool-backed batched merge of Figure 13,
 //! * [`pool`] — the [`WorkspacePool`] scratch-injection trait consumed by
-//!   the `_ws` kernel variants here and upstack (re-exported as
-//!   `tridiag_core::WorkspacePool`).
+//!   the `_ws` kernels here and upstack, and its allocating
+//!   [`AllocPool`] (both re-exported by `tridiag_core`).
 
 pub mod givens;
 pub mod panel;
@@ -24,6 +24,6 @@ pub mod zy;
 
 pub use givens::{make_givens, Givens};
 pub use panel::{panel_qr, PanelQr};
-pub use pool::WorkspacePool;
+pub use pool::{AllocPool, WorkspacePool};
 pub use reflector::{apply_left, apply_right, apply_two_sided_lower, make_reflector, Reflector};
 pub use wy::WyBlock;

@@ -9,23 +9,20 @@
 //! (I − W₁Y₁ᵀ)(I − W₂Y₂ᵀ) = I − [W₁ | W₂ − W₁(Y₁ᵀW₂)] [Y₁ | Y₂]ᵀ
 //! ```
 //!
-//! * [`compute_w_recursive`] is the literal **Algorithm 3** (binary
-//!   recursion down to pairs).
-//! * [`merge_to_width`] is the **Figure 13** production scheme: merge
+//! * [`merge_pair`] / [`compute_w_recursive`] are the literal
+//!   **Algorithm 3** (binary recursion down to pairs).
+//! * [`merge_to_width_ws`] is the **Figure 13** production scheme: merge
 //!   *levels* of pairs with batched GEMMs until each accumulated block
-//!   reaches a target width `k`, then apply the few wide blocks.
+//!   reaches a target width `k`, every temporary — the `S = Y₁ᵀW₂` merge
+//!   scratch, the concatenated wide `W`/`Y` storage — drawn from a
+//!   [`WorkspacePool`]. It is the only level-by-level merge: an allocating
+//!   caller passes [`crate::pool::AllocPool`].
 //!
-//! The `_ws` variants ([`merge_pair_ws`], [`merge_to_width_ws`]) draw
-//! every temporary — the `S = Y₁ᵀW₂` merge scratch, the concatenated wide
-//! `W`/`Y` storage — from a [`WorkspacePool`] instead of the allocator,
-//! and [`WyPair::apply_left_in`] writes its `YᵀC` intermediate into
-//! caller-owned scratch. Under the pool's bitwise-zero contract they
-//! perform the identical floating-point operations as the allocating
-//! versions. Every merge path
-//! also tallies its arithmetic (4·rows·ka·kb flops per pair: two
-//! `rows × ka × kb` GEMMs) against [`tg_trace::Counter::MergeFlops`], which
-//! the gpu-sim model cross-check reconciles against the Algorithm-3 cost
-//! model.
+//! [`WyPair::apply_left_in`] writes its `YᵀC` intermediate into
+//! caller-owned scratch. Every merge path also tallies its arithmetic
+//! (4·rows·ka·kb flops per pair: two `rows × ka × kb` GEMMs) against
+//! [`tg_trace::Counter::MergeFlops`], which the gpu-sim model cross-check
+//! reconciles against the Algorithm-3 cost model.
 
 use crate::pool::WorkspacePool;
 use tg_blas::batched::{gemm_batched, GemmJob};
@@ -153,50 +150,6 @@ pub fn merge_pair(a: &WyPair, b: &WyPair) -> WyPair {
     WyPair { w, y }
 }
 
-/// Like [`merge_pair`] but pool-backed: the `S` scratch and the merged
-/// `W`/`Y` storage come from `pool`. The returned pair's matrices are
-/// pool-acquired — the caller releases them (`pool.release(f.w)`,
-/// `pool.release(f.y)`) when the factor is retired. The *inputs* are
-/// borrowed and untouched; releasing them stays the caller's business.
-pub fn merge_pair_ws(a: &WyPair, b: &WyPair, pool: &mut dyn WorkspacePool) -> WyPair {
-    let n = a.w.nrows();
-    assert_eq!(b.w.nrows(), n);
-    let (ka, kb) = (a.width(), b.width());
-    count_merge(n, ka, kb);
-    // S = Y₁ᵀ W₂  (ka × kb)
-    let mut s = pool.acquire(ka, kb);
-    gemm(
-        1.0,
-        &a.y.as_ref(),
-        Op::Trans,
-        &b.w.as_ref(),
-        Op::NoTrans,
-        0.0,
-        &mut s.as_mut(),
-    );
-    let mut w = pool.acquire(n, ka + kb);
-    w.view_mut(0, 0, n, ka).copy_from(&a.w.as_ref());
-    {
-        // W₂' = W₂ − W₁ S, computed directly into the concatenation slot.
-        let mut w2 = w.view_mut(0, ka, n, kb);
-        w2.copy_from(&b.w.as_ref());
-        gemm(
-            -1.0,
-            &a.w.as_ref(),
-            Op::NoTrans,
-            &s.as_ref(),
-            Op::NoTrans,
-            1.0,
-            &mut w2,
-        );
-    }
-    let mut y = pool.acquire(n, ka + kb);
-    y.view_mut(0, 0, n, ka).copy_from(&a.y.as_ref());
-    y.view_mut(0, ka, n, kb).copy_from(&b.y.as_ref());
-    pool.release(s);
-    WyPair { w, y }
-}
-
 /// **Algorithm 3**: recursively merges an ordered list of factors
 /// (`I − W₁Y₁ᵀ` applied first) into a single `(W, Y)` pair.
 pub fn compute_w_recursive(pairs: &[WyPair]) -> WyPair {
@@ -216,97 +169,11 @@ pub fn compute_w_recursive(pairs: &[WyPair]) -> WyPair {
 /// **Figure 13**: merges adjacent pairs level by level — each level is one
 /// batched GEMM wave — stopping once every block's width is ≥ `target_k`
 /// (or only one block remains). Returns the ordered list of wide factors.
-pub fn merge_to_width(mut pairs: Vec<WyPair>, target_k: usize) -> Vec<WyPair> {
-    assert!(!pairs.is_empty());
-    while pairs.len() > 1 && pairs[0].width() < target_k {
-        let mut next = Vec::with_capacity(pairs.len().div_ceil(2));
-        let mut iter = pairs.into_iter();
-        let mut lefts: Vec<WyPair> = Vec::new();
-        let mut rights: Vec<WyPair> = Vec::new();
-        let mut odd: Option<WyPair> = None;
-        loop {
-            match (iter.next(), iter.next()) {
-                (Some(a), Some(b)) => {
-                    lefts.push(a);
-                    rights.push(b);
-                }
-                (Some(a), None) => {
-                    odd = Some(a);
-                    break;
-                }
-                _ => break,
-            }
-        }
-        // The per-level batched GEMM wave: S_i = Y₁ᵢᵀ W₂ᵢ for every pair at
-        // once, then W₂ᵢ ← W₂ᵢ − W₁ᵢ Sᵢ for every pair at once.
-        for (a, b) in lefts.iter().zip(&rights) {
-            count_merge(a.w.nrows(), a.width(), b.width());
-        }
-        let mut s: Vec<Mat> = lefts
-            .iter()
-            .zip(&rights)
-            .map(|(a, b)| Mat::zeros(a.width(), b.width()))
-            .collect();
-        {
-            let jobs = lefts
-                .iter()
-                .zip(&rights)
-                .zip(s.iter_mut())
-                .map(|((a, b), si)| GemmJob {
-                    alpha: 1.0,
-                    a: &a.y,
-                    op_a: Op::Trans,
-                    b: &b.w,
-                    op_b: Op::NoTrans,
-                    beta: 0.0,
-                    c: si,
-                })
-                .collect();
-            gemm_batched(jobs);
-        }
-        {
-            let jobs = lefts
-                .iter()
-                .zip(rights.iter_mut())
-                .zip(s.iter())
-                .map(|((a, b), si)| GemmJob {
-                    alpha: -1.0,
-                    a: &a.w,
-                    op_a: Op::NoTrans,
-                    b: si,
-                    op_b: Op::NoTrans,
-                    beta: 1.0,
-                    c: &mut b.w,
-                })
-                .collect();
-            gemm_batched(jobs);
-        }
-        for (a, b) in lefts.into_iter().zip(rights) {
-            let n = a.w.nrows();
-            let (ka, kb) = (a.width(), b.width());
-            let mut w = Mat::zeros(n, ka + kb);
-            w.view_mut(0, 0, n, ka).copy_from(&a.w.as_ref());
-            w.view_mut(0, ka, n, kb).copy_from(&b.w.as_ref());
-            let mut y = Mat::zeros(n, ka + kb);
-            y.view_mut(0, 0, n, ka).copy_from(&a.y.as_ref());
-            y.view_mut(0, ka, n, kb).copy_from(&b.y.as_ref());
-            next.push(WyPair { w, y });
-        }
-        if let Some(o) = odd {
-            next.push(o);
-        }
-        pairs = next;
-    }
-    pairs
-}
-
-/// Like [`merge_to_width`] but pool-backed. Every input pair's matrices
-/// **must** be pool-acquired (see [`merge_pair_ws`]); consumed pairs are
-/// released as they are merged away, and the returned wide pairs are
-/// pool-acquired for the caller to release. The per-level arithmetic is
-/// the same batched wave as the allocating version, so under the pool's
-/// zero contract the merged factors are bitwise-identical to
-/// [`merge_to_width`]'s.
+///
+/// Every input pair's matrices **must** be pool-acquired: consumed pairs
+/// are released as they are merged away, and the returned wide pairs are
+/// pool-acquired for the caller to release. Under the pool's zero
+/// contract the merged factors are bitwise-identical for every pool.
 pub fn merge_to_width_ws(
     mut pairs: Vec<WyPair>,
     target_k: usize,
@@ -332,6 +199,8 @@ pub fn merge_to_width_ws(
                 _ => break,
             }
         }
+        // The per-level batched GEMM wave: S_i = Y₁ᵢᵀ W₂ᵢ for every pair at
+        // once, then W₂ᵢ ← W₂ᵢ − W₁ᵢ Sᵢ for every pair at once.
         for (a, b) in lefts.iter().zip(&rights) {
             count_merge(a.w.nrows(), a.width(), b.width());
         }
@@ -404,6 +273,7 @@ pub fn merge_to_width_ws(
 mod tests {
     use super::*;
     use crate::panel::panel_qr;
+    use crate::pool::AllocPool;
     use std::sync::{Mutex, MutexGuard};
     use tg_matrix::{gen, max_abs_diff, orthogonality_residual, Mat};
 
@@ -470,7 +340,7 @@ mod tests {
         let _g = serial();
         let n = 20;
         let factors: Vec<WyPair> = (0..8).map(|i| random_factor(n, 2, 30 + i)).collect();
-        let wide = merge_to_width(factors.clone(), 8);
+        let wide = merge_to_width_ws(factors.clone(), 8, &mut AllocPool);
         assert_eq!(wide.len(), 2);
         assert!(wide.iter().all(|f| f.width() == 8));
         let expect = dense_product(&factors, n);
@@ -483,51 +353,13 @@ mod tests {
         let _g = serial();
         let n = 14;
         let factors: Vec<WyPair> = (0..5).map(|i| random_factor(n, 2, 50 + i)).collect();
-        let wide = merge_to_width(factors.clone(), 100);
+        let wide = merge_to_width_ws(factors.clone(), 100, &mut AllocPool);
         // widths double each level; odd trailing block carried through
         let expect = dense_product(&factors, n);
         let got = dense_product(&wide, n);
         assert!(max_abs_diff(&got, &expect) < 1e-11);
         let total: usize = wide.iter().map(|f| f.width()).sum();
         assert_eq!(total, 10);
-    }
-
-    /// Minimal conforming pool for the `_ws` tests (the production pools
-    /// live upstack in `tridiag-core` / `tg-batch`).
-    struct ZeroPool;
-    impl crate::pool::WorkspacePool for ZeroPool {
-        fn acquire(&mut self, rows: usize, cols: usize) -> Mat {
-            Mat::zeros(rows, cols)
-        }
-        fn release(&mut self, _m: Mat) {}
-    }
-
-    #[test]
-    fn merge_pair_ws_is_bitwise_identical() {
-        let _g = serial();
-        let n = 12;
-        let a = random_factor(n, 3, 81);
-        let b = random_factor(n, 3, 82);
-        let plain = merge_pair(&a, &b);
-        let pooled = merge_pair_ws(&a, &b, &mut ZeroPool);
-        assert_eq!(plain.w, pooled.w);
-        assert_eq!(plain.y, pooled.y);
-    }
-
-    #[test]
-    fn merge_to_width_ws_is_bitwise_identical() {
-        let _g = serial();
-        let n = 20;
-        for p in [3usize, 4, 5, 8] {
-            let factors: Vec<WyPair> = (0..p).map(|i| random_factor(n, 2, 90 + i as u64)).collect();
-            let plain = merge_to_width(factors.clone(), 8);
-            let pooled = merge_to_width_ws(factors, 8, &mut ZeroPool);
-            assert_eq!(plain.len(), pooled.len(), "p = {p}");
-            for (a, b) in plain.iter().zip(&pooled) {
-                assert_eq!(a.w, b.w, "p = {p}");
-                assert_eq!(a.y, b.y, "p = {p}");
-            }
-        }
     }
 
     #[test]

@@ -11,6 +11,7 @@
 //! count) and repeated runs, and pin the blocked path to the conventional
 //! reflector-by-reflector apply within numerical tolerance.
 
+use tridiag_gpu::core::backtransform::{apply_blocks_panels, apply_q1, release_blocks};
 use tridiag_gpu::core::{AllocPool, CachingPool, PanelPools};
 use tridiag_gpu::prelude::*;
 
@@ -158,9 +159,11 @@ fn grouped_q2_blocks_match_reflector_apply_within_useful_flop_budget() {
     // Q₂ is applied as cross-sweep blocks: the task-t reflectors of G
     // consecutive sweeps, task index descending within a group. The
     // reordering is exact, so both directions must match the
-    // reflector-by-reflector product, and the staircase blocks must keep
-    // performed flops within 2× the useful ones (the per-sweep dense
-    // blocks they replace did O(n/b)× the useful work).
+    // reflector-by-reflector product — Q₂C through the production panel
+    // apply, Q₂ᵀC through the conventional-order apply of the same blocks —
+    // and the staircase blocks must keep performed flops within 2× the
+    // useful ones (the per-sweep dense blocks they replace did O(n/b)× the
+    // useful work).
     let mut ragged = false;
     for n in [15usize, 31, 33, 64, 65, 129, 256] {
         let EvdMethod::Proposed {
@@ -177,11 +180,16 @@ fn grouped_q2_blocks_match_reflector_apply_within_useful_flop_budget() {
             ("seq", bulge_chase_seq(&band)),
             ("pipelined", bulge_chase_pipelined(&band, parallel_sweeps)),
         ] {
+            let blocks = bc.sweep_blocks_ws(&mut AllocPool);
             for trans in [false, true] {
                 let mut reference = c0.clone();
                 bc.apply_q_left(&mut reference, trans);
                 let mut grouped = c0.clone();
-                bc.apply_q_left_blocked(&mut grouped, trans);
+                if trans {
+                    apply_q1(&blocks, &mut grouped, true);
+                } else {
+                    apply_blocks_panels(&blocks, &mut grouped, 2, &mut PanelPools::new());
+                }
                 let mut max_diff = 0.0f64;
                 for i in 0..n {
                     for j in 0..c0.ncols() {
@@ -197,12 +205,11 @@ fn grouped_q2_blocks_match_reflector_apply_within_useful_flop_budget() {
             // Flops per eigenvector column, counted the way the perfbench
             // traced replay counts them: 4·rows·width per block against
             // 4·len per non-identity reflector.
-            let blocks = bc.sweep_blocks_ws(&mut AllocPool);
             let performed: f64 = blocks
                 .iter()
                 .map(|(_, f)| 4.0 * (f.w.nrows() * f.w.ncols()) as f64)
                 .sum();
-            tridiag_gpu::core::backtransform::release_blocks(blocks, &mut AllocPool);
+            release_blocks(blocks, &mut AllocPool);
             let useful: f64 = bc
                 .reflectors
                 .iter()

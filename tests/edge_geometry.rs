@@ -129,6 +129,8 @@ fn band_storage_too_small_panics() {
 
 #[test]
 fn backtransform_width_one_factors() {
+    use tridiag_gpu::core::backtransform::{apply_q1, apply_q1_blocked_ws};
+    use tridiag_gpu::core::{AllocPool, PanelPools};
     // b = 1 band reduction: every WY factor has a single column
     let n = 14;
     let a = gen::random_symmetric(n, 31);
@@ -136,9 +138,16 @@ fn backtransform_width_one_factors() {
     assert!(red.factors.iter().all(|(_, f)| f.width() == 1));
     let c0 = gen::random(n, 3, 32);
     let mut c1 = c0.clone();
-    tridiag_gpu::core::backtransform::apply_q1(&red.factors, &mut c1, false);
+    apply_q1(&red.factors, &mut c1, false);
     let mut c2 = c0.clone();
-    tridiag_gpu::core::backtransform::apply_q1_blocked(&red.factors, &mut c2, 4);
+    apply_q1_blocked_ws(
+        &red.factors,
+        &mut c2,
+        4,
+        &mut AllocPool,
+        1,
+        &mut PanelPools::new(),
+    );
     assert!(tridiag_gpu::matrix::max_abs_diff(&c1, &c2) < 1e-12);
 }
 

@@ -76,8 +76,9 @@ fn assert_bits_eq(a: &[f64], b: &[f64], what: &str) {
 }
 
 /// Packed GEMM, `n × n × n`: packed-parallel ≥ 0.7× packed-serial, one
-/// rep per side. The driver partitions over `ic`/`jc` strips only and
-/// never splits the `pc` accumulation, so the two must agree bitwise.
+/// warm-up and one timed rep per side. The driver partitions over
+/// `ic`/`jc` strips only and never splits the `pc` accumulation, so the
+/// two must agree bitwise.
 #[test]
 #[ignore = "timing floor: run in release with --ignored --test-threads=1"]
 fn packed_gemm_parallel_floor() {
@@ -99,6 +100,10 @@ fn packed_gemm_parallel_floor() {
                 t,
             )
         };
+        // One untimed call per side first, so neither timed side pays the
+        // first-call costs (per-thread pack buffers, first page touches).
+        gemm(&mut c0.clone(), 1);
+        gemm(&mut c0.clone(), threads);
         let [(ts, serial), (tp, par)] =
             timed_pair(1, || c0.clone(), |c| gemm(c, 1), |c| gemm(c, threads));
         let what = format!("gemm n={n} threads={threads}");
