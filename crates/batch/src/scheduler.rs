@@ -104,12 +104,6 @@ impl BatchScheduler {
         }
     }
 
-    /// Scheduler sized by [`tg_blas::threads::worker_threads`] (honours
-    /// `TG_THREADS`).
-    pub fn with_default_workers() -> Self {
-        Self::new(tg_blas::threads::worker_threads())
-    }
-
     /// Configured worker count.
     pub fn workers(&self) -> usize {
         self.workers
@@ -119,7 +113,7 @@ impl BatchScheduler {
     ///
     /// Inputs are not destroyed (each worker clones its problem into the
     /// reduction, as [`tg_eigen::syevd_batched`] does). Results are
-    /// bitwise-identical to calling [`tg_eigen::syevd`] per problem. The
+    /// bitwise-identical to calling [`fn@tg_eigen::syevd`] per problem. The
     /// first error aborts the whole batch.
     pub fn syevd(
         &self,

@@ -712,7 +712,7 @@ fn fault_campaign() {
 
 /// Serving-mode fault campaign: each fault of the seed-derived plan is
 /// armed in its own check session and driven through a `tg-serve`
-/// [`JobService`] under admission pressure (1.5× the queue+worker
+/// [`tg_serve::JobService`] under admission pressure (1.5× the queue+worker
 /// capacity). For every site the service must (a) reach quiescence within
 /// the watchdog — no hangs, (b) lose no job (conservation ledger), and
 /// (c) return every admitted job either retried-to-success with results

@@ -94,7 +94,6 @@ pub fn verification_suite(n: usize) -> Vec<Check> {
 
     // 3. solver cross-agreement on the reduced T
     let e_ql = tg_eigen::sterf(&red.tri).unwrap();
-    let e_pwk = tg_eigen::sterf_pwk(&red.tri).unwrap();
     let e_dc = tg_eigen::stedc(&red.tri).unwrap().0;
     let e_bi = tg_eigen::bisect::eigenvalues(&red.tri);
     // A length mismatch fails the check instead of panicking the gauntlet.
@@ -105,7 +104,6 @@ pub fn verification_suite(n: usize) -> Vec<Check> {
             f64::INFINITY
         }
     };
-    out.push(check("QL vs PWK eigenvalues", dev_of(&e_pwk), 1e-11));
     out.push(check("QL vs D&C eigenvalues", dev_of(&e_dc), 1e-11));
     out.push(check("QL vs bisection eigenvalues", dev_of(&e_bi), 1e-11));
 

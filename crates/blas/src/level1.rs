@@ -36,14 +36,6 @@ pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
     }
 }
 
-/// `x ← αx`.
-#[inline]
-pub fn scal(alpha: f64, x: &mut [f64]) {
-    for xi in x.iter_mut() {
-        *xi *= alpha;
-    }
-}
-
 /// Euclidean norm, computed with scaling to avoid overflow/underflow
 /// (LAPACK `dnrm2` style).
 pub fn nrm2(x: &[f64]) -> f64 {
@@ -139,12 +131,5 @@ mod tests {
         swap(&mut x, &mut y);
         assert_eq!(x, [3.0, 4.0]);
         assert_eq!(y, [1.0, 2.0]);
-    }
-
-    #[test]
-    fn scal_scales() {
-        let mut x = [1.0, -2.0, 4.0];
-        scal(-0.5, &mut x);
-        assert_eq!(x, [-0.5, 1.0, -2.0]);
     }
 }

@@ -1,11 +1,10 @@
 //! BLAS level-2: matrix-vector kernels.
 #![allow(clippy::needless_range_loop)] // index loops mirror the BLAS reference formulations
 //!
-//! Everything is column-major; the `N`-transpose kernels therefore iterate
-//! over columns and use `axpy` on contiguous slices, while the `T` kernels
-//! use `dot` per column — both access memory with unit stride.
+//! Everything is column-major; the kernels therefore iterate over columns
+//! and touch contiguous slices, so they access memory with unit stride.
 
-use crate::level1::{axpy, dot};
+use crate::level1::axpy;
 use tg_matrix::{MatMut, MatRef};
 
 /// `y ← α A x + β y` (`A` not transposed, `m × n`).
@@ -20,27 +19,6 @@ pub fn gemv_n(alpha: f64, a: &MatRef<'_>, x: &[f64], beta: f64, y: &mut [f64]) {
     }
     for j in 0..n {
         axpy(alpha * x[j], a.col(j), y);
-    }
-}
-
-/// `y ← α Aᵀ x + β y` (`A` is `m × n`, result length `n`).
-pub fn gemv_t(alpha: f64, a: &MatRef<'_>, x: &[f64], beta: f64, y: &mut [f64]) {
-    let (m, n) = (a.nrows(), a.ncols());
-    assert_eq!(x.len(), m);
-    assert_eq!(y.len(), n);
-    for j in 0..n {
-        let s = dot(a.col(j), x);
-        y[j] = alpha * s + beta * y[j];
-    }
-}
-
-/// Rank-1 update `A ← A + α x yᵀ`.
-pub fn ger(alpha: f64, x: &[f64], y: &[f64], a: &mut MatMut<'_>) {
-    let (m, n) = (a.nrows(), a.ncols());
-    assert_eq!(x.len(), m);
-    assert_eq!(y.len(), n);
-    for j in 0..n {
-        axpy(alpha * y[j], x, a.col_mut(j));
     }
 }
 
@@ -98,17 +76,11 @@ mod tests {
     use tg_matrix::gen;
     use tg_matrix::Mat;
 
-    fn dense_mv(a: &Mat, x: &[f64], trans: bool) -> Vec<f64> {
+    fn dense_mv(a: &Mat, x: &[f64]) -> Vec<f64> {
         let (m, n) = (a.nrows(), a.ncols());
-        if !trans {
-            (0..m)
-                .map(|i| (0..n).map(|j| a[(i, j)] * x[j]).sum())
-                .collect()
-        } else {
-            (0..n)
-                .map(|j| (0..m).map(|i| a[(i, j)] * x[i]).sum())
-                .collect()
-        }
+        (0..m)
+            .map(|i| (0..n).map(|j| a[(i, j)] * x[j]).sum())
+            .collect()
     }
 
     #[test]
@@ -116,10 +88,7 @@ mod tests {
         let a = gen::random(7, 5, 1);
         let x: Vec<f64> = (0..5).map(|i| i as f64 - 2.0).collect();
         let mut y = vec![1.0; 7];
-        let expect: Vec<f64> = dense_mv(&a, &x, false)
-            .iter()
-            .map(|v| 2.0 * v + 3.0)
-            .collect();
+        let expect: Vec<f64> = dense_mv(&a, &x).iter().map(|v| 2.0 * v + 3.0).collect();
         gemv_n(2.0, &a.as_ref(), &x, 3.0, &mut y);
         for (a, b) in y.iter().zip(&expect) {
             assert!((a - b).abs() < 1e-12);
@@ -127,37 +96,11 @@ mod tests {
     }
 
     #[test]
-    fn gemv_t_matches_dense() {
-        let a = gen::random(7, 5, 2);
-        let x: Vec<f64> = (0..7).map(|i| (i as f64).cos()).collect();
-        let mut y = vec![0.5; 5];
-        let expect: Vec<f64> = dense_mv(&a, &x, true)
-            .iter()
-            .zip(&y)
-            .map(|(v, y0)| -1.0 * v + 2.0 * y0)
-            .collect();
-        gemv_t(-1.0, &a.as_ref(), &x, 2.0, &mut y);
-        for (a, b) in y.iter().zip(&expect) {
-            assert!((a - b).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn ger_rank1() {
-        let mut a = Mat::zeros(3, 2);
-        let x = [1.0, 2.0, 3.0];
-        let y = [10.0, 100.0];
-        ger(1.0, &x, &y, &mut a.as_mut());
-        assert_eq!(a[(2, 1)], 300.0);
-        assert_eq!(a[(0, 0)], 10.0);
-    }
-
-    #[test]
     fn symv_lower_matches_full() {
         let n = 9;
         let full = gen::random_symmetric(n, 3);
         let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.3).sin()).collect();
-        let expect = dense_mv(&full, &x, false);
+        let expect = dense_mv(&full, &x);
         // blank the upper triangle to prove only lower is read
         let mut lower = full.clone();
         for j in 0..n {

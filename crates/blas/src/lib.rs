@@ -14,7 +14,7 @@
 //! All kernels operate on `f64` and follow LAPACK lower-triangle conventions
 //! for symmetric updates. The packed GEMM every level-3 product funnels
 //! through runs one register micro-kernel per process — AVX-512F,
-//! AVX2+FMA or portable scalar — chosen in [`kernel`].
+//! AVX2+FMA or portable scalar — chosen in [`mod@kernel`].
 
 pub mod batched;
 pub mod kernel;
@@ -25,14 +25,12 @@ pub mod narrow;
 pub mod pack;
 pub mod syr2k;
 pub mod threads;
-pub mod triangular;
 
 pub use kernel::{kernel, kernel_name, Kernel};
 pub use level3::{gemm, gemm_into, Op};
 pub use pack::{gemm_packed, gemm_packed_with_threads};
 pub use syr2k::{syr2k_blocked, syr2k_square, syr2k_square_head};
 pub use threads::{parse_tg_threads, try_worker_threads, worker_threads, ThreadsConfigError};
-pub use triangular::potrf_lower;
 
 /// Floating-point operation counts for the kernels in this crate, used by
 /// the benchmark harness to report TFLOP-style rates consistently with the

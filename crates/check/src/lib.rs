@@ -155,11 +155,6 @@ impl CheckReport {
         self.records.iter().filter(|r| !r.pass).collect()
     }
 
-    /// Records produced by a named checker.
-    pub fn by_checker(&self, name: &str) -> Vec<&CheckRecord> {
-        self.records.iter().filter(|r| r.checker == name).collect()
-    }
-
     /// Plain-text summary table (one row per record).
     pub fn render(&self) -> String {
         use std::fmt::Write as _;

@@ -6,7 +6,7 @@
 //!   baseline; ~50% BLAS-2 by construction, which is why it is slow on GPUs),
 //! * [`sbr`] — single-blocking successive band reduction (the MAGMA
 //!   `Dsy2sb` baseline, Figure 2),
-//! * [`dbbr`] — **double-blocking band reduction**, Algorithm 1: bandwidth
+//! * [`mod@dbbr`] — **double-blocking band reduction**, Algorithm 1: bandwidth
 //!   `b` decoupled from the `syr2k` rank `k`,
 //! * [`bc`] — bulge chasing (`Dsb2st`): sequential reference and the
 //!   paper's Algorithm-2 pipelined implementation with atomic progress
@@ -20,7 +20,6 @@
 pub mod backtransform;
 pub mod bc;
 pub mod dbbr;
-pub mod givens_tridiag;
 pub mod sbr;
 pub mod sytrd;
 pub mod two_stage;
@@ -29,7 +28,6 @@ pub mod workspace;
 pub use backtransform::{PanelPools, PANEL_COLS};
 pub use bc::{bulge_chase_pipelined, bulge_chase_seq, BcResult};
 pub use dbbr::{dbbr, dbbr_ws, DbbrConfig, DbbrConfigError};
-pub use givens_tridiag::givens_tridiagonalize;
 pub use sbr::{band_reduce, BandReduction};
 pub use sytrd::{sytrd_blocked, sytrd_unblocked, SytrdResult};
 pub use two_stage::{tridiagonalize, tridiagonalize_ws, Method, TridiagResult};

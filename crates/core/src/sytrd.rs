@@ -54,17 +54,6 @@ impl SytrdResult {
         }
     }
 
-    /// Materializes `Q = H₀ H₁ ⋯ H_{n−2}` with blocked compact-WY
-    /// application (`dorgtr` analogue): [`SytrdResult::apply_q_left`] on
-    /// the identity, so the work is GEMM-shaped instead of rank-1 — the
-    /// same BLAS-3 enrichment the paper applies everywhere.
-    pub fn form_q_blocked(&self, nb: usize) -> Mat {
-        let n = self.tri.n();
-        let mut q = Mat::identity(n);
-        self.apply_q_left(&mut q.as_mut(), nb);
-        q
-    }
-
     /// Materializes `Q = H₀ H₁ ⋯ H_{n−2}` (unblocked reference).
     pub fn form_q(&self) -> Mat {
         let n = self.tri.n();
@@ -297,19 +286,6 @@ mod tests {
         }
         for i in 0..n - 1 {
             assert!((t1.e[i] - t2.e[i]).abs() < 1e-10, "e[{i}]");
-        }
-    }
-
-    #[test]
-    fn blocked_q_formation_matches_unblocked() {
-        let n = 21;
-        let a0 = gen::random_symmetric(n, 60);
-        let mut a = a0.clone();
-        let res = sytrd_blocked(&mut a, 5);
-        let q_ref = res.form_q();
-        for nb in [1usize, 3, 8, 64] {
-            let q_blk = res.form_q_blocked(nb);
-            assert!(tg_matrix::max_abs_diff(&q_ref, &q_blk) < 1e-12, "nb = {nb}");
         }
     }
 

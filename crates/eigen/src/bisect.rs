@@ -1,12 +1,9 @@
-//! Bisection eigenvalues + inverse-iteration eigenvectors
-//! (`dstebz`/`dstein` analogues).
+//! Bisection eigenvalues (`dstebz` analogue).
 //!
 //! Independent of both the QL iteration and divide & conquer, this solver
 //! is the workspace's *verification oracle*: it computes eigenvalues from
 //! Sturm counts alone (guaranteed bracketing, no iteration-convergence
-//! questions) and eigenvectors by shifted tridiagonal inverse iteration.
-//! It also enables spectrum slicing — computing only eigenvalues
-//! `index lo..hi` or inside an interval.
+//! questions).
 
 use tg_matrix::Tridiagonal;
 
@@ -32,14 +29,6 @@ pub fn eigenvalues(t: &Tridiagonal) -> Vec<f64> {
     eigenvalues_by_index(t, 0, t.n())
 }
 
-/// Eigenvalues inside the half-open interval `(lo, hi]`, ascending.
-pub fn eigenvalues_in_interval(t: &Tridiagonal, lo: f64, hi: f64) -> Vec<f64> {
-    assert!(lo <= hi);
-    let c_lo = t.sturm_count(lo);
-    let c_hi = t.sturm_count(hi);
-    eigenvalues_by_index(t, c_lo, c_hi)
-}
-
 /// Bisects for the `k`-th (0-based) eigenvalue in `[lo, hi]`.
 fn bisect_kth(t: &Tridiagonal, k: usize, mut lo: f64, mut hi: f64) -> f64 {
     debug_assert!(t.sturm_count(lo) <= k && t.sturm_count(hi) > k);
@@ -58,149 +47,6 @@ fn bisect_kth(t: &Tridiagonal, k: usize, mut lo: f64, mut hi: f64) -> f64 {
         }
     }
     0.5 * (lo + hi)
-}
-
-/// Inverse iteration for the eigenvector of an isolated eigenvalue `lambda`
-/// (`dstein`-style, with a perturbed shift and Gaussian elimination with
-/// partial pivoting on the shifted tridiagonal matrix).
-///
-/// For tightly clustered eigenvalues the returned vectors are
-/// re-orthogonalized against `prev` (vectors already computed in the same
-/// cluster).
-pub fn inverse_iteration(t: &Tridiagonal, lambda: f64, prev: &[Vec<f64>]) -> Vec<f64> {
-    let n = t.n();
-    assert!(n > 0);
-    if n == 1 {
-        return vec![1.0];
-    }
-    let norm =
-        t.d.iter()
-            .chain(t.e.iter())
-            .fold(0.0f64, |m, &x| m.max(x.abs()))
-            .max(f64::MIN_POSITIVE);
-    // tiny random-ish perturbation so (T − λI) is not exactly singular
-    let shift = lambda + norm * f64::EPSILON;
-    let mut v: Vec<f64> = (0..n)
-        .map(|i| 0.5 + ((i * 2654435761) % 1024) as f64 / 1024.0)
-        .collect();
-    normalize(&mut v);
-    for _ in 0..5 {
-        solve_shifted(t, shift, &mut v);
-        for p in prev {
-            let dot: f64 = v.iter().zip(p).map(|(a, b)| a * b).sum();
-            for (vi, pi) in v.iter_mut().zip(p) {
-                *vi -= dot * pi;
-            }
-        }
-        normalize(&mut v);
-    }
-    v
-}
-
-/// Full eigendecomposition via bisection + inverse iteration.
-/// Returns `(eigenvalues ascending, eigenvectors as columns)`.
-pub fn bisect_evd(t: &Tridiagonal) -> (Vec<f64>, tg_matrix::Mat) {
-    let n = t.n();
-    let eigs = eigenvalues(t);
-    let mut vecs = tg_matrix::Mat::zeros(n, n);
-    let norm =
-        t.d.iter()
-            .chain(t.e.iter())
-            .fold(0.0f64, |m, &x| m.max(x.abs()))
-            .max(f64::MIN_POSITIVE);
-    let cluster_tol = 1e-7 * norm;
-    let mut cluster: Vec<Vec<f64>> = Vec::new();
-    for k in 0..n {
-        if k > 0 && eigs[k] - eigs[k - 1] > cluster_tol {
-            cluster.clear();
-        }
-        let v = inverse_iteration(t, eigs[k], &cluster);
-        vecs.col_mut(k).copy_from_slice(&v);
-        cluster.push(v);
-    }
-    (eigs, vecs)
-}
-
-/// Solves `(T − σI) x = v` in place by LU with partial pivoting on the
-/// tridiagonal structure (fill-in limited to the second superdiagonal).
-fn solve_shifted(t: &Tridiagonal, sigma: f64, v: &mut [f64]) {
-    let n = t.n();
-    // diag, super1, super2, sub (working copies)
-    let mut dd: Vec<f64> = t.d.iter().map(|&x| x - sigma).collect();
-    let mut du: Vec<f64> = t.e.clone();
-    let mut du2 = vec![0.0f64; n.saturating_sub(2)];
-    let mut dl: Vec<f64> = t.e.clone();
-
-    let tiny = f64::MIN_POSITIVE.sqrt();
-    // factorization with partial pivoting (dgttrf-style), applying the
-    // permutations and multipliers directly to the right-hand side
-    for i in 0..n - 1 {
-        if dd[i].abs() >= dl[i].abs() {
-            // no row interchange
-            let piv = if dd[i].abs() > tiny {
-                dd[i]
-            } else {
-                tiny.copysign(dd[i])
-            };
-            let m = dl[i] / piv;
-            dd[i + 1] -= m * du[i];
-            v[i + 1] -= m * v[i];
-            if i + 2 < n {
-                // du2 stays zero in this branch
-            }
-            dl[i] = 0.0;
-        } else {
-            // swap rows i and i+1
-            let m = dd[i] / dl[i];
-            dd[i] = dl[i];
-            let tmp = dd[i + 1];
-            dd[i + 1] = du[i] - m * tmp;
-            du[i] = tmp;
-            if i + 2 < n {
-                du2[i] = du[i + 1];
-                du[i + 1] = -m * du2[i];
-            }
-            v.swap(i, i + 1);
-            v[i + 1] -= m * v[i];
-            dl[i] = 0.0;
-        }
-    }
-    // back substitution with the (up to) two superdiagonals
-    let last = n - 1;
-    let piv = if dd[last].abs() > tiny {
-        dd[last]
-    } else {
-        tiny.copysign(dd[last])
-    };
-    v[last] /= piv;
-    if n >= 2 {
-        let i = n - 2;
-        let mut num = v[i] - du[i] * v[i + 1];
-        let piv = if dd[i].abs() > tiny {
-            dd[i]
-        } else {
-            tiny.copysign(dd[i])
-        };
-        v[i] = num / piv;
-        for i in (0..n.saturating_sub(2)).rev() {
-            num = v[i] - du[i] * v[i + 1] - du2[i] * v[i + 2];
-            let piv = if dd[i].abs() > tiny {
-                dd[i]
-            } else {
-                tiny.copysign(dd[i])
-            };
-            v[i] = num / piv;
-        }
-    }
-}
-
-fn normalize(v: &mut [f64]) {
-    let nrm = v.iter().map(|x| x * x).sum::<f64>().sqrt();
-    if nrm > 0.0 {
-        for x in v.iter_mut() {
-            *x /= nrm;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -243,71 +89,8 @@ mod tests {
     }
 
     #[test]
-    fn interval_slicing() {
-        let t = gen::laplacian_1d(32);
-        // boundaries chosen between eigenvalues (λ = 1.0 and 3.0 are exact
-        // spectrum points of the Laplacian at n = 32, so avoid them)
-        let inside = eigenvalues_in_interval(&t, 0.93, 3.07);
-        let all = gen::laplacian_1d_eigs(32);
-        let expect: Vec<f64> = all.into_iter().filter(|&x| x > 0.93 && x <= 3.07).collect();
-        assert_eq!(inside.len(), expect.len());
-        for (a, b) in inside.iter().zip(&expect) {
-            assert!((a - b).abs() < 1e-10);
-        }
-    }
-
-    #[test]
-    fn inverse_iteration_residual() {
-        let n = 30;
-        let t = gen::random_tridiagonal(n, 9);
-        let eigs = eigenvalues(&t);
-        let dense = t.to_dense();
-        // a well-separated eigenvalue (max gap)
-        let k = (1..n)
-            .max_by(|&a, &b| {
-                let ga = eigs[a] - eigs[a - 1];
-                let gb = eigs[b] - eigs[b - 1];
-                ga.partial_cmp(&gb).unwrap()
-            })
-            .unwrap();
-        let v = inverse_iteration(&t, eigs[k], &[]);
-        for i in 0..n {
-            let mut s = 0.0;
-            for j in 0..n {
-                s += dense[(i, j)] * v[j];
-            }
-            assert!((s - eigs[k] * v[i]).abs() < 1e-9, "row {i}");
-        }
-    }
-
-    #[test]
-    fn full_evd_orthogonal_with_clusters() {
-        // glued matrix: clustered eigenvalues stress re-orthogonalization
-        let t = gen::glued(10, 3, 1e-10);
-        let (eigs, v) = bisect_evd(&t);
-        assert!(eigs.windows(2).all(|w| w[0] <= w[1]));
-        assert!(
-            tg_matrix::orthogonality_residual(&v) < 1e-8,
-            "{}",
-            tg_matrix::orthogonality_residual(&v)
-        );
-    }
-
-    #[test]
-    fn cross_check_stedc() {
-        let t = gen::random_tridiagonal(64, 17);
-        let (e1, _) = bisect_evd(&t);
-        let (e2, _) = crate::stedc(&t).unwrap();
-        for (a, b) in e1.iter().zip(&e2) {
-            assert!((a - b).abs() < 1e-9);
-        }
-    }
-
-    #[test]
     fn single_element() {
         let t = Tridiagonal::new(vec![4.2], vec![]);
         assert!((eigenvalues(&t)[0] - 4.2).abs() < 1e-14);
-        let (_, v) = bisect_evd(&t);
-        assert_eq!(v[(0, 0)].abs(), 1.0);
     }
 }

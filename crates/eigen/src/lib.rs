@@ -2,41 +2,32 @@
 //!
 //! Symmetric eigensolvers built on the tridiagonalization pipelines:
 //!
-//! * [`steqr`] — implicit QL iteration for tridiagonal matrices, with or
+//! * [`mod@steqr`] — implicit QL iteration for tridiagonal matrices, with or
 //!   without eigenvector accumulation (`dsteqr`/`dsterf` analogues),
 //! * [`dc`] — Cuppen's divide & conquer with deflation, a safeguarded
 //!   secular-equation solver ([`secular`]) and the Gu–Eisenstat eigenvector
 //!   fix (`dstedc` analogue) — the iterative method the paper pairs with
 //!   its tridiagonalization (§6.2),
-//! * [`syevd`] — full `Dsyevd`-style drivers for the three pipelines the
+//! * [`mod@syevd`] — full `Dsyevd`-style drivers for the three pipelines the
 //!   paper compares (cuSOLVER-like direct, MAGMA-like two-stage, and the
 //!   proposed DBBR + pipelined-BC two-stage),
-//! * [`bisect`] — Sturm-count bisection + inverse iteration
-//!   (`dstebz`/`dstein` analogues): the independent verification oracle,
-//!   with spectrum slicing by index or interval,
+//! * [`bisect`] — Sturm-count bisection (`dstebz` analogue): the
+//!   independent eigenvalue oracle,
 //! * [`jacobi`] — cyclic Jacobi on the dense matrix (§7.2's third
 //!   classical method), fully independent of any reduction.
 
 pub mod bisect;
 pub mod dc;
 pub mod jacobi;
-pub mod pwk;
-pub mod sbevd;
 pub mod secular;
 pub mod steqr;
 pub mod syevd;
-pub mod syevx;
-pub mod sygv;
 
-pub use bisect::{bisect_evd, eigenvalues_by_index, eigenvalues_in_interval};
+pub use bisect::eigenvalues_by_index;
 pub use dc::stedc;
 pub use jacobi::jacobi_evd;
-pub use pwk::sterf_pwk;
-pub use sbevd::sbevd;
 pub use steqr::{steqr, sterf};
 pub use syevd::{default_backtransform_k, syevd, syevd_batched, syevd_ws, Evd, EvdMethod};
-pub use syevx::{largest_k, smallest_k, syevx_by_index};
-pub use sygv::sygvd;
 
 /// Errors from the iterative eigensolvers.
 #[derive(Debug, Clone, PartialEq, Eq)]

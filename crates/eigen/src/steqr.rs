@@ -40,13 +40,6 @@ pub fn steqr(t: &Tridiagonal) -> Result<(Vec<f64>, Mat), EigenError> {
     Ok((sorted, zs))
 }
 
-/// Like [`steqr`] but updates a caller-provided matrix `z` (which need not
-/// be the identity): on return `z_out = z_in · Q` where `Qᵀ T Q = Λ`.
-/// Results are **not** sorted (the caller owns ordering).
-pub fn steqr_update(d: &mut [f64], e: &mut [f64], z: &mut Mat) -> Result<(), EigenError> {
-    ql_iterate(d, e, Some(z))
-}
-
 /// Core implicit-QL iteration. `d` (length n) and `e` (length n−1) are
 /// overwritten; `e` ends up ~0. `z`, if given, accumulates rotations from
 /// the right (`z.ncols() == n`).

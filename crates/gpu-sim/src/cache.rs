@@ -70,12 +70,6 @@ impl CacheSim {
             self.hits as f64 / total as f64
         }
     }
-
-    /// Resets counters (keeps contents).
-    pub fn reset_stats(&mut self) {
-        self.hits = 0;
-        self.misses = 0;
-    }
 }
 
 /// Streams the accesses of bulge-chasing sweeps into `cache` using the

@@ -26,7 +26,7 @@ pub struct Device {
     /// L2 cache size in bytes (§5.2 cites 50 MB for H100).
     pub l2_bytes: usize,
     /// Effective FP64-equivalent rate for INT8-tensor-core DGEMM
-    /// (Ozaki scheme, paper ref [19]); `None` if not used.
+    /// (Ozaki scheme, paper ref \[19\]); `None` if not used.
     /// Explains the RTX 4090 exceeding its FP64 peak in Figure 15b.
     pub int8_dgemm_tflops: Option<f64>,
 }

@@ -14,7 +14,6 @@
 //!   the `_ws` kernels here and upstack, and its allocating
 //!   [`AllocPool`] (both re-exported by `tridiag_core`).
 
-pub mod givens;
 pub mod panel;
 pub mod pool;
 pub mod reflector;
@@ -22,7 +21,6 @@ pub mod wblock;
 pub mod wy;
 pub mod zy;
 
-pub use givens::{make_givens, Givens};
 pub use panel::{panel_qr, PanelQr};
 pub use pool::{AllocPool, WorkspacePool};
 pub use reflector::{apply_left, apply_right, apply_two_sided_lower, make_reflector, Reflector};

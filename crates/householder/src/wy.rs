@@ -7,7 +7,7 @@
 //! onto this as `Y = V`, `W = V T`, so that `I − W Yᵀ = I − V T Vᵀ`.
 
 use tg_blas::{gemm, gemm_into, Op};
-use tg_matrix::{Mat, MatMut, MatRef};
+use tg_matrix::{Mat, MatMut};
 
 /// A block of `k` accumulated reflectors: `Q = H₁⋯H_k = I − V T Vᵀ`.
 #[derive(Clone, Debug)]
@@ -173,35 +173,6 @@ impl WyBlock {
             }
         }
     }
-}
-
-/// Convenience for tests: `Q` from a sequence of blocks applied left-to-right
-/// (`Q = B₁ B₂ ⋯ B_p`, each `B_i = I − V_i T_i V_iᵀ` acting on rows
-/// `offset_i ..`).
-pub fn accumulate_q(m: usize, blocks: &[(usize, &WyBlock)]) -> Mat {
-    let mut q = Mat::identity(m);
-    // Q = B₁ ⋯ B_p ⇒ apply from the right in order: start with I, multiply.
-    for &(off, blk) in blocks.iter().rev() {
-        let rows = blk.m();
-        let mut sub = q.view_mut(off, 0, rows, m);
-        blk.apply_left(&mut sub, false);
-    }
-    q
-}
-
-/// Verifies the block is unit-lower-trapezoidal within `tol` (debug aid).
-pub fn is_unit_lower(v: &MatRef<'_>, tol: f64) -> bool {
-    for j in 0..v.ncols() {
-        if (v.at(j.min(v.nrows() - 1), j) - 1.0).abs() > tol && j < v.nrows() {
-            return false;
-        }
-        for i in 0..j.min(v.nrows()) {
-            if v.at(i, j).abs() > tol {
-                return false;
-            }
-        }
-    }
-    true
 }
 
 #[cfg(test)]

@@ -7,7 +7,7 @@
 //! These follow the LAPACK testing conventions (residual scaled so that a
 //! backward-stable algorithm yields `O(n · ε)`).
 
-use crate::dense::{Mat, MatRef};
+use crate::dense::Mat;
 
 /// Shape mismatch reported by the fallible residual entry points.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -35,22 +35,6 @@ impl std::error::Error for ShapeError {}
 /// Frobenius norm of a dense matrix.
 pub fn frob_norm(a: &Mat) -> f64 {
     a.as_slice().iter().map(|x| x * x).sum::<f64>().sqrt()
-}
-
-/// Frobenius norm of a view.
-pub fn frob_norm_ref(a: &MatRef<'_>) -> f64 {
-    let mut s = 0.0;
-    for j in 0..a.ncols() {
-        for &x in a.col(j) {
-            s += x * x;
-        }
-    }
-    s.sqrt()
-}
-
-/// Largest absolute entry.
-pub fn max_abs(a: &Mat) -> f64 {
-    a.as_slice().iter().fold(0.0f64, |m, &x| m.max(x.abs()))
 }
 
 /// Largest absolute difference between two same-shaped matrices.

@@ -29,7 +29,7 @@
 //!   no job is ever lost or double-counted.
 //!
 //! Completed results are **bitwise-identical** to the direct
-//! [`tg_eigen::syevd`] path regardless of worker count, queue pressure,
+//! [`fn@tg_eigen::syevd`] path regardless of worker count, queue pressure,
 //! retries, or fallback — see the determinism notes on [`service`].
 //!
 //! ```

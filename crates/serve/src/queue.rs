@@ -8,9 +8,9 @@
 //!
 //! * admission is all-or-nothing: a full queue rejects ([`QueueFull`]),
 //!   it never partially accepts or silently drops;
-//! * every admitted entry is handed out exactly once (by [`pop`] or
-//!   [`remove`]) — nothing is lost, nothing is duplicated;
-//! * [`pop`] serves the highest priority class first and is FIFO *within*
+//! * every admitted entry is handed out exactly once (by [`BoundedQueue::pop`] or
+//!   [`BoundedQueue::remove`]) — nothing is lost, nothing is duplicated;
+//! * [`BoundedQueue::pop`] serves the highest priority class first and is FIFO *within*
 //!   a class (admission order, by ticket).
 //!
 //! Accounting across the whole service (submitted = completed + failed +

@@ -23,13 +23,13 @@
 //! buffer cannot leak into the retry, and the live-byte accounting of an
 //! attempt that unwound is repaired). When the pooled attempts are
 //! exhausted the job falls back to the serial reference path (plain
-//! [`tg_eigen::syevd`] on a fresh allocation pool); only if that also
+//! [`fn@tg_eigen::syevd`] on a fresh allocation pool); only if that also
 //! fails does the job end as [`FailReason::Exhausted`].
 //!
 //! # Determinism contract
 //!
 //! A completed job's result is **bitwise-identical** to calling
-//! [`tg_eigen::syevd`] directly on the same input: the pooled path carries
+//! [`fn@tg_eigen::syevd`] directly on the same input: the pooled path carries
 //! the PR 2 workspace contract, the fallback *is* the direct path, and a
 //! retry recomputes from the pristine input matrix. Admission order,
 //! worker count, shedding, and retries decide *whether and when* a job

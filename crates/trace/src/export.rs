@@ -106,7 +106,7 @@ impl Trace {
 
     /// Aggregates events by span name into [`ProfileRow`]s, ordered by
     /// total wall time (descending). Virtual-time events are excluded.
-    pub fn profile_rows(&self) -> Vec<ProfileRow> {
+    pub(crate) fn profile_rows(&self) -> Vec<ProfileRow> {
         let mut by_name: BTreeMap<&'static str, ProfileRow> = BTreeMap::new();
         for e in self.events.iter().filter(|e| !e.virtual_time) {
             let row = by_name.entry(e.name).or_insert_with(|| ProfileRow {

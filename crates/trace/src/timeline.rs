@@ -174,7 +174,7 @@ impl Trace {
 
     /// Average parallelism over the **virtual** (simulator) timeline:
     /// `Σ dur / (max end − min start)`. `None` when no virtual events were
-    /// recorded. This is what [`check_utilization`] in `tg-gpu-sim`
+    /// recorded. This is what `tg_gpu_sim::model_check::check_utilization`
     /// reconciles against the analytic occupancy model.
     pub fn virtual_parallelism(&self) -> Option<f64> {
         let virt: Vec<&Event> = self.events.iter().filter(|e| e.virtual_time).collect();

@@ -38,14 +38,13 @@
 //!
 //! | crate | contents |
 //! |---|---|
-//! | [`tg_matrix`](matrix) | dense/band storage, generators, residuals |
-//! | [`tg_blas`](blas) | pure-Rust BLAS 1/2/3 incl. the Figure-7 `syr2k` |
-//! | [`tg_householder`](householder) | reflectors, WY/ZY, Algorithm-3 `W` merging |
-//! | [`tridiag_core`](core) | SBR, DBBR (Algorithm 1), bulge chasing (Algorithm 2), back transformation |
-//! | [`tg_eigen`](eigen) | QL iteration, divide & conquer, `syevd` drivers |
-//! | [`tg_gpu_sim`](gpu_sim) | device models, kernel cost models, pipeline + cache simulators, figure regenerators |
-//! | [`tg_svd`](svd) | two-stage bidiagonal reduction + singular values (the Gates et al. SVD analogue) |
-//! | [`tg_batch`](batch) | batched multi-problem EVD: worker-pool scheduler + cached workspace arenas |
+//! | [`tg_matrix`] | dense/band storage, generators, residuals |
+//! | [`tg_blas`] | pure-Rust BLAS 1/2/3 incl. the Figure-7 `syr2k` |
+//! | [`tg_householder`] | reflectors, WY/ZY, Algorithm-3 `W` merging |
+//! | [`tridiag_core`] | SBR, DBBR (Algorithm 1), bulge chasing (Algorithm 2), back transformation |
+//! | [`tg_eigen`] | QL iteration, divide & conquer, `syevd` drivers |
+//! | [`tg_gpu_sim`] | device models, kernel cost models, pipeline + cache simulators, figure regenerators |
+//! | [`tg_batch`] | batched multi-problem EVD: worker-pool scheduler + cached workspace arenas |
 
 pub use tg_batch as batch;
 pub use tg_blas as blas;
@@ -53,21 +52,17 @@ pub use tg_eigen as eigen;
 pub use tg_gpu_sim as gpu_sim;
 pub use tg_householder as householder;
 pub use tg_matrix as matrix;
-pub use tg_svd as svd;
 pub use tridiag_core as core;
 
 /// Everything a downstream user typically needs.
 pub mod prelude {
     pub use tg_batch::BatchScheduler;
-    pub use tg_eigen::{
-        bisect_evd, jacobi_evd, sbevd::sbevd, stedc, steqr, sterf, sterf_pwk, syevd, syevd_batched,
-        Evd, EvdMethod,
-    };
+    pub use tg_eigen::{jacobi_evd, stedc, steqr, sterf, syevd, syevd_batched, Evd, EvdMethod};
     pub use tg_matrix::{
         gen, orthogonality_residual, similarity_residual, Mat, SymBand, Tridiagonal,
     };
     pub use tridiag_core::{
-        band_reduce, bulge_chase_pipelined, bulge_chase_seq, dbbr, givens_tridiagonalize,
-        tridiagonalize, DbbrConfig, Method, TridiagResult,
+        band_reduce, bulge_chase_pipelined, bulge_chase_seq, dbbr, tridiagonalize, DbbrConfig,
+        Method, TridiagResult,
     };
 }

@@ -149,10 +149,13 @@ fn permutation_similarity() {
     }
 }
 
-/// Four independent eigensolvers agree on the same tridiagonal matrix.
+/// Four independent eigensolvers agree on the same tridiagonal matrix, and
+/// on dense input every `syevd` pipeline agrees with Jacobi, the one
+/// oracle that skips the reduction.
 #[test]
 fn four_solver_cross_check() {
     use tridiag_gpu::eigen::{bisect, jacobi_evd, stedc, steqr};
+    use tridiag_gpu::matrix::norms::spectrum_error;
     let t = gen::random_tridiagonal(48, 21);
     let e_ql = steqr(&t).unwrap().0;
     let e_dc = stedc(&t).unwrap().0;
@@ -162,6 +165,20 @@ fn four_solver_cross_check() {
         assert!((e_ql[i] - e_dc[i]).abs() < 1e-10, "QL vs DC at {i}");
         assert!((e_ql[i] - e_bi[i]).abs() < 1e-10, "QL vs bisect at {i}");
         assert!((e_ql[i] - e_ja[i]).abs() < 1e-10, "QL vs Jacobi at {i}");
+    }
+
+    for (n, seed) in [(24usize, 31u64), (64, 32), (96, 33)] {
+        let a = gen::random_symmetric(n, seed);
+        let e_ja = jacobi_evd(&a).unwrap().0;
+        for method in [
+            EvdMethod::CusolverLike { nb: 32 },
+            EvdMethod::MagmaLike { b: 8 },
+            EvdMethod::proposed_default(n),
+        ] {
+            let e = syevd(&mut a.clone(), &method, false).unwrap().eigenvalues;
+            let err = spectrum_error(&e_ja, &e);
+            assert!(err < 1e-10, "n = {n}, {method:?} vs Jacobi: {err:e}");
+        }
     }
 }
 
