@@ -1402,6 +1402,11 @@ fn model_vs_measured() {
     println!("== model vs measured (traced counters vs analytic formulas) ==");
     let shapes = [(64usize, 8usize, 16usize), (96, 12, 24), (128, 16, 32)];
     let mut rows = model_check::model_vs_measured(&shapes);
+    // DBBR's `U = A·W` at each shape's (n, b), and one size past a
+    // 128-wide block column, where the below and mirror GEMMs run
+    for (n, b) in shapes.iter().map(|&(n, b, _)| (n, b)).chain([(300, 32)]) {
+        rows.extend(model_check::check_symm(n, b));
+    }
     rows.extend(model_check::check_batched_evd(48, 5));
     rows.extend(model_check::check_checker_overhead(96));
     rows.extend(model_check::check_utilization(96, 8, 4));

@@ -1,4 +1,4 @@
-//! BLAS level-3: general matrix-matrix multiply.
+//! BLAS level-3: general and symmetric matrix-matrix multiply.
 #![allow(clippy::needless_range_loop)] // index loops mirror the blocked-GEMM formulation
 //!
 //! [`gemm`] has a single dispatch at every thread count (see
@@ -12,9 +12,10 @@
 //! The packed path runs the process's SIMD micro-kernel
 //! ([`crate::kernel::kernel`]: AVX-512F or AVX2+FMA where the CPU has
 //! them, scalar otherwise or under `TG_KERNEL=scalar`); the column kernel
-//! here is plain scalar Rust on every host. Every entry point follows the
-//! BLAS convention for `β = 0`: `C` is overwritten without being read, so
-//! a NaN or Inf already in the output does not survive.
+//! here is plain scalar Rust on every host. [`symm_lower`] is built from
+//! the same dispatch, three GEMMs per block column. Every entry point
+//! follows the BLAS convention for `β = 0`: `C` is overwritten without
+//! being read, so a NaN or Inf already in the output does not survive.
 
 use crate::threads::{run_tasks, Spans};
 use tg_matrix::{Mat, MatMut, MatRef};
@@ -96,6 +97,25 @@ pub fn gemm(
     beta: f64,
     c: &mut MatMut<'_>,
 ) {
+    let (m, n, k) = (op_a.rows(a), op_b.cols(b), op_a.cols(a));
+    if alpha != 0.0 && m > 0 && n > 0 && k > 0 {
+        count_gemm(m, n, k);
+    }
+    gemm_uncounted(alpha, a, op_a, b, op_b, beta, c);
+}
+
+/// [`gemm`] without its flop/byte accounting, for the drivers that count
+/// their own convention ([`symm_lower`] its `2n²k`, the `syr2k` diagonal
+/// blocks their useful triangle) so the leaves are not counted twice.
+pub(crate) fn gemm_uncounted(
+    alpha: f64,
+    a: &MatRef<'_>,
+    op_a: Op,
+    b: &MatRef<'_>,
+    op_b: Op,
+    beta: f64,
+    c: &mut MatMut<'_>,
+) {
     let m = op_a.rows(a);
     let k = op_a.cols(a);
     let n = op_b.cols(b);
@@ -107,8 +127,6 @@ pub fn gemm(
     if alpha == 0.0 || m == 0 || n == 0 || k == 0 {
         return;
     }
-
-    count_gemm(m, n, k);
 
     // Compute-bound shapes go to the packed register-blocked kernel, which
     // parallelizes internally over ic strips; the thresholds keep tiny and
@@ -266,27 +284,85 @@ pub fn syr2k_ref(alpha: f64, a: &MatRef<'_>, b: &MatRef<'_>, beta: f64, c: &mut 
     }
 }
 
+/// Block-column width of [`symm_lower`]: the diagonal blocks it mirrors
+/// are `SYMM_NB × SYMM_NB`, so a caller-provided scratch needs
+/// `min(n, SYMM_NB)²` elements (see [`symm_lower_ws`]).
+pub const SYMM_NB: usize = 128;
+
 /// Symmetric-matrix × dense-matrix product using only the **lower** triangle
 /// of `A`: `C ← α·A·B + β·C` with `A` symmetric `n × n`, `B`, `C` `n × k`.
-/// Runs one `symv` per column under a `blas.symm` span.
+///
+/// Walks `A` in block columns of width [`SYMM_NB`]; each one is three
+/// GEMMs on [`gemm`]'s dispatch (see [`symm_lower_ws`]). Allocates the
+/// mirror scratch; [`symm_lower_ws`] takes it from the caller instead.
 pub fn symm_lower(alpha: f64, a: &MatRef<'_>, b: &MatRef<'_>, beta: f64, c: &mut MatMut<'_>) {
+    let w = SYMM_NB.min(a.nrows());
+    symm_lower_ws(alpha, a, b, beta, c, &mut vec![0.0; w * w]);
+}
+
+/// [`symm_lower`] with the caller's scratch for the mirrored diagonal
+/// block (at least `min(n, SYMM_NB)²` elements; its contents are dead on
+/// entry and on exit).
+///
+/// For the block column `j0..j0+w`, with `L = A[j0+w.., j0..j0+w]` the
+/// block below the diagonal:
+/// * `C[j0..j0+w] += α·D·B[j0..j0+w]`, `D` the diagonal block mirrored
+///   into `scratch`;
+/// * `C[j0+w..] += α·L·B[j0..j0+w]` (`NoTrans`);
+/// * `C[j0..j0+w] += α·Lᵀ·B[j0+w..]` (`Trans`, the mirror image of `L`).
+///
+/// The strict upper triangle of `A` is never read. Counted as `2n²k`
+/// flops under a `blas.symm` span, the same total the three GEMMs per
+/// block column perform.
+pub fn symm_lower_ws(
+    alpha: f64,
+    a: &MatRef<'_>,
+    b: &MatRef<'_>,
+    beta: f64,
+    c: &mut MatMut<'_>,
+    scratch: &mut [f64],
+) {
     let n = a.nrows();
     let _span = tg_trace::span_cat("blas.symm", "kernel", Some(("n", n as u64)));
     assert_eq!(a.ncols(), n);
     assert_eq!(b.nrows(), n);
     assert_eq!(c.nrows(), n);
     assert_eq!(b.ncols(), c.ncols());
+    let k = c.ncols();
     if tg_trace::enabled() {
-        let cols = c.ncols();
-        tg_trace::add(tg_trace::Counter::Flops, 2 * (n * n * cols) as u64);
+        tg_trace::add(tg_trace::Counter::Flops, 2 * (n * n * k) as u64);
         tg_trace::add(
             tg_trace::Counter::BytesRead,
-            8 * (cols * (n * n + 2 * n)) as u64,
+            8 * (k * (n * n + 2 * n)) as u64,
         );
-        tg_trace::add(tg_trace::Counter::BytesWritten, 8 * (cols * n) as u64);
+        tg_trace::add(tg_trace::Counter::BytesWritten, 8 * (k * n) as u64);
     }
-    for j in 0..c.ncols() {
-        crate::level2::symv_lower(alpha, a, b.col(j), beta, c.col_mut(j));
+    scale_by_beta(beta, c);
+    if alpha == 0.0 || n == 0 || k == 0 {
+        return;
+    }
+    let mut j0 = 0;
+    while j0 < n {
+        let w = SYMM_NB.min(n - j0);
+        let h = n - j0 - w;
+        let mut d = MatMut::from_parts(w, w, w, &mut scratch[..w * w]);
+        for j in 0..w {
+            let src = &a.col(j0 + j)[j0 + j..j0 + w];
+            d.col_mut(j)[j..].copy_from_slice(src);
+            for (i, &x) in src.iter().enumerate().skip(1) {
+                *d.at_mut(j, j + i) = x;
+            }
+        }
+        let (d, bd) = (d.rb(), b.submatrix(j0, 0, w, k));
+        let (mut c_top, mut c_below) = c.rb_mut().submatrix_mut(j0, 0, n - j0, k).split_at_row(w);
+        gemm_uncounted(alpha, &d, Op::NoTrans, &bd, Op::NoTrans, 1.0, &mut c_top);
+        if h > 0 {
+            let l = a.submatrix(j0 + w, j0, h, w);
+            let bl = b.submatrix(j0 + w, 0, h, k);
+            gemm_uncounted(alpha, &l, Op::NoTrans, &bd, Op::NoTrans, 1.0, &mut c_below);
+            gemm_uncounted(alpha, &l, Op::Trans, &bl, Op::NoTrans, 1.0, &mut c_top);
+        }
+        j0 += w;
     }
 }
 

@@ -5,9 +5,11 @@
 //! The level-3 module contains three `syr2k` implementations because the
 //! paper's §5.1 contribution is precisely a re-blocked `syr2k`:
 //!
-//! * [`level3::syr2k_ref`] — triple-loop reference (used to validate the rest),
+//! * [`level3::syr2k_ref`] — triple-loop reference (the test oracle for the rest),
 //! * [`syr2k::syr2k_blocked`] — conventional rectangular-strip blocking
 //!   (what cuBLAS-style implementations do, per \[23\] in the paper),
+//!   whose triangular diagonal blocks run as one GEMM each
+//!   ([`syr2k::syr2k_diag`]),
 //! * [`syr2k::syr2k_square`] — the paper's Figure-7 scheme: diagonal blocks
 //!   first, then *paired* off-diagonal blocks merged into square GEMMs.
 //!
@@ -29,7 +31,7 @@ pub mod threads;
 pub use kernel::{kernel, kernel_name, Kernel};
 pub use level3::{gemm, gemm_into, Op};
 pub use pack::{gemm_packed, gemm_packed_with_threads};
-pub use syr2k::{syr2k_blocked, syr2k_square, syr2k_square_head};
+pub use syr2k::{syr2k_blocked, syr2k_diag, syr2k_square, syr2k_square_head};
 pub use threads::{parse_tg_threads, try_worker_threads, worker_threads, ThreadsConfigError};
 
 /// Floating-point operation counts for the kernels in this crate, used by

@@ -17,7 +17,7 @@
 //!   `sb × sb` GEMM pair. All off-diagonal blocks are independent, so they
 //!   run as one task list on [`crate::threads::run_tasks`].
 
-use crate::level3::{gemm, syr2k_ref, Op};
+use crate::level3::{gemm, gemm_uncounted, Op};
 use crate::threads::{run_tasks, Spans};
 use tg_matrix::{MatMut, MatRef};
 
@@ -44,6 +44,7 @@ pub fn syr2k_blocked(
     let (n, _k) = check_shapes(a, b, c);
     assert!(nb > 0);
     let _span = tg_trace::span_cat("blas.syr2k_blocked", "kernel", Some(("n", n as u64)));
+    let mut scratch = vec![0.0; nb.min(n).pow(2)];
     let mut j = 0;
     while j < n {
         let w = nb.min(n - j);
@@ -52,7 +53,7 @@ pub fn syr2k_blocked(
             let aj = a.submatrix(j, 0, w, a.ncols());
             let bj = b.submatrix(j, 0, w, b.ncols());
             let mut cd = c.rb_mut().submatrix_mut(j, j, w, w);
-            syr2k_ref(alpha, &aj, &bj, beta, &mut cd);
+            syr2k_diag(alpha, &aj, &bj, beta, &mut cd, &mut scratch);
         }
         // sub-diagonal strip: C[j+w.., j..j+w] — a tall skinny GEMM pair
         if j + w < n {
@@ -69,6 +70,57 @@ pub fn syr2k_blocked(
     }
     if n > 0 {
         inject_output_fault(c);
+    }
+}
+
+/// One diagonal block at GEMM speed: `C ← β·C + α·(A Bᵀ + B Aᵀ)` on the
+/// lower triangle of the `n × n` block `C`, as one GEMM `T = α·A·Bᵀ` into
+/// `scratch` (at least `n²` elements, dead on entry and exit) folded as
+/// `C[i, j] ← β·C[i, j] + (T[i, j] + T[j, i])` for `i ≥ j`.
+///
+/// The upper triangle of `C` is neither read nor written, and `β = 0`
+/// overwrites without reading. Counts the useful triangle, `2kn(n+1)`
+/// flops like [`crate::level3::syr2k_ref`] (the test oracle), not the
+/// `2n²k` the square GEMM performs. Opens no span and has no fault hook:
+/// it is a leaf of [`syr2k_blocked`] and of DBBR's just-in-time panel
+/// update.
+pub fn syr2k_diag(
+    alpha: f64,
+    a: &MatRef<'_>,
+    b: &MatRef<'_>,
+    beta: f64,
+    c: &mut MatMut<'_>,
+    scratch: &mut [f64],
+) {
+    let (n, k) = check_shapes(a, b, c);
+    if tg_trace::enabled() {
+        tg_trace::add(tg_trace::Counter::Flops, 2 * (k * n * (n + 1)) as u64);
+        tg_trace::add(
+            tg_trace::Counter::BytesRead,
+            8 * (2 * k * n * (n + 1) + n * (n + 1) / 2) as u64,
+        );
+        tg_trace::add(
+            tg_trace::Counter::BytesWritten,
+            8 * (n * (n + 1) / 2) as u64,
+        );
+    }
+    let mut t = MatMut::from_parts(n, n, n, &mut scratch[..n * n]);
+    // Diagonal blocks are small squares of a long rank (DBBR's trailing
+    // update ends in one b × b block of rank ≈ 7b): below `gemm`'s
+    // packed-path work threshold, yet the packed kernel runs them 3–6×
+    // faster than its column kernel from eight rows up.
+    if n >= 8 {
+        crate::pack::gemm_packed(alpha, a, Op::NoTrans, b, Op::Trans, 0.0, &mut t);
+    } else {
+        gemm_uncounted(alpha, a, Op::NoTrans, b, Op::Trans, 0.0, &mut t);
+    }
+    for j in 0..n {
+        let cj = &mut c.col_mut(j)[j..];
+        for (di, cij) in cj.iter_mut().enumerate() {
+            let i = j + di;
+            let s = t.at(i, j) + t.at(j, i);
+            *cij = if beta == 0.0 { s } else { beta * *cij + s };
+        }
     }
 }
 

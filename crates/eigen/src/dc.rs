@@ -106,7 +106,7 @@ fn merge(
 ) -> Result<(Vec<f64>, Mat), EigenError> {
     let n = d.len();
     if rho_in == 0.0 {
-        return Ok(sort_pairs(d, q));
+        return sort_pairs(d, q);
     }
     // flip the problem so ρ > 0 (eigenvectors are unchanged under negation)
     let flip = rho_in < 0.0;
@@ -128,8 +128,9 @@ fn merge(
     }
 
     // sort d ascending; `cols[p]` maps position → column of q
+    check_finite(&d)?;
     let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by(|&a, &b| d[a].partial_cmp(&d[b]).unwrap());
+    order.sort_by(|&a, &b| d[a].partial_cmp(&d[b]).expect("checked finite"));
     let ds: Vec<f64> = order.iter().map(|&i| d[i]).collect();
     let zs: Vec<f64> = order.iter().map(|&i| z[i]).collect();
     let mut qs = Mat::zeros(n, n);
@@ -222,20 +223,33 @@ fn merge(
             *ev = -*ev;
         }
     }
-    Ok(sort_pairs(eigenvalues, vectors))
+    sort_pairs(eigenvalues, vectors)
+}
+
+/// The sorts' precondition: a NaN or Inf (from a non-finite input or a
+/// child that produced one) is reported as a failure to converge at its
+/// index instead of panicking the comparison. Finite values keep
+/// `partial_cmp`'s order, which, unlike `total_cmp`, leaves ±0 ties in
+/// place, so finite inputs keep every bit.
+fn check_finite(values: &[f64]) -> Result<(), EigenError> {
+    match values.iter().position(|x| !x.is_finite()) {
+        Some(index) => Err(EigenError::NoConvergence { index }),
+        None => Ok(()),
+    }
 }
 
 /// Sorts `(values, vector columns)` ascending by value.
-fn sort_pairs(values: Vec<f64>, vecs: Mat) -> (Vec<f64>, Mat) {
+fn sort_pairs(values: Vec<f64>, vecs: Mat) -> Result<(Vec<f64>, Mat), EigenError> {
+    check_finite(&values)?;
     let n = values.len();
     let mut idx: Vec<usize> = (0..n).collect();
-    idx.sort_by(|&x, &y| values[x].partial_cmp(&values[y]).unwrap());
+    idx.sort_by(|&x, &y| values[x].partial_cmp(&values[y]).expect("checked finite"));
     let sorted: Vec<f64> = idx.iter().map(|&i| values[i]).collect();
     let mut out = Mat::zeros(vecs.nrows(), n);
     for (p, &i) in idx.iter().enumerate() {
         out.col_mut(p).copy_from_slice(vecs.col(i));
     }
-    (sorted, out)
+    Ok((sorted, out))
 }
 
 #[cfg(test)]
@@ -335,6 +349,25 @@ mod tests {
         assert!(orthogonality_residual(&v) < 1e-12);
         for &e in &eigs {
             assert!((e - 3.0).abs() < 1e-12);
+        }
+    }
+
+    /// A NaN or ±Inf at a leaf diagonal or at the split off-diagonal
+    /// must come back as a result, never as a panic in a sort.
+    #[test]
+    fn non_finite_input_returns_instead_of_panicking() {
+        let n = 64;
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            for (site, at_split) in [("leaf d[0]", false), ("split e[n/2-1]", true)] {
+                let mut t = gen::random_tridiagonal(n, 13);
+                if at_split {
+                    t.e[n / 2 - 1] = bad;
+                } else {
+                    t.d[0] = bad;
+                }
+                let out = std::panic::catch_unwind(|| stedc(&t));
+                assert!(out.is_ok(), "stedc panicked on {bad} at {site}");
+            }
         }
     }
 

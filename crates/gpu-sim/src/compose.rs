@@ -148,9 +148,10 @@ pub fn backtransform_ours(dev: &Device, n: usize, b: usize, k: usize) -> f64 {
 
 /// Counted FLOPs of one `tg_blas::syr2k_blocked(n, rank k, block nb)`
 /// call — an exact replay of the instrumented arithmetic: per column
-/// panel of width `w`, the triangular `syr2k_ref` charges 4 flops per
-/// (lower-triangle element, rank index) = `2·k·w·(w+1)`, and the
-/// sub-diagonal strip is a pair of `m × w × k` GEMMs at `2mwk` each.
+/// panel of width `w`, the diagonal block (`tg_blas::syr2k_diag`) charges
+/// its useful triangle, 4 flops per (lower-triangle element, rank index)
+/// = `2·k·w·(w+1)`, and the sub-diagonal strip is a pair of `m × w × k`
+/// GEMMs at `2mwk` each.
 pub fn syr2k_blocked_flops(n: usize, k: usize, nb: usize) -> f64 {
     let mut t = 0.0;
     let mut j = 0;

@@ -149,3 +149,92 @@ proptest! {
         prop_assert!((blas::level1::nrm2(&scaled) / 1e150 - nrm).abs() < 1e-12 * (1.0 + nrm));
     }
 }
+
+/// Largest `|x − y|` over the largest `|y|` (0 when `y` is empty or zero).
+fn rel_diff(x: &Mat, y: &Mat) -> f64 {
+    let scale = y.as_slice().iter().fold(0.0f64, |m, v| m.max(v.abs()));
+    if scale == 0.0 {
+        max_abs_diff(x, y)
+    } else {
+        max_abs_diff(x, y) / scale
+    }
+}
+
+/// The lower triangle of `full` with NaN planted in the strict upper
+/// triangle, which `symm_lower` must never read.
+fn lower_with_nan_upper(full: &Mat) -> Mat {
+    let n = full.nrows();
+    Mat::from_fn(n, n, |i, j| if i < j { f64::NAN } else { full[(i, j)] })
+}
+
+/// `symm_lower` — three GEMMs per 128-wide block column — against dense
+/// GEMM on the mirrored matrix and against one `symv_lower` per column, on
+/// both sides of every block edge.
+#[test]
+fn symm_lower_matches_dense_gemm_and_symv() {
+    let (alpha, beta) = (1.3, 0.6);
+    for n in [0usize, 1, 7, 127, 128, 129, 300] {
+        for k in [1usize, 4, 32] {
+            let seed = 9000 + 10 * n as u64 + k as u64;
+            let full = gen::random_symmetric(n, seed);
+            let low = lower_with_nan_upper(&full);
+            let b = gen::random(n, k, seed + 1);
+            let c0 = gen::random(n, k, seed + 2);
+
+            let mut c = c0.clone();
+            blas::level3::symm_lower(alpha, &low.as_ref(), &b.as_ref(), beta, &mut c.as_mut());
+            assert!(
+                c.as_slice().iter().all(|x| x.is_finite()),
+                "n={n} k={k}: the NaN upper triangle leaked into C"
+            );
+
+            let p = naive_gemm(&full, Op::NoTrans, &b, Op::NoTrans);
+            let dense = Mat::from_fn(n, k, |i, j| alpha * p[(i, j)] + beta * c0[(i, j)]);
+            let err = rel_diff(&c, &dense);
+            assert!(err <= 1e-13, "n={n} k={k}: vs dense GEMM {err:e}");
+
+            let mut by_symv = c0.clone();
+            for j in 0..k {
+                blas::level2::symv_lower(alpha, &low.as_ref(), b.col(j), beta, by_symv.col_mut(j));
+            }
+            let err = rel_diff(&c, &by_symv);
+            assert!(err <= 1e-13, "n={n} k={k}: vs per-column symv {err:e}");
+        }
+    }
+}
+
+/// BLAS `β`/`α` conventions: `β = 0` overwrites a NaN already in `C`
+/// without reading it, `α = 0` leaves exactly `β·C`, and the caller's
+/// scratch is dead on entry (NaN-filled scratch changes no bit).
+#[test]
+fn symm_lower_alpha_beta_and_scratch_conventions() {
+    for n in [5usize, 129, 300] {
+        let k = 4;
+        let full = gen::random_symmetric(n, 9500 + n as u64);
+        let low = lower_with_nan_upper(&full);
+        let b = gen::random(n, k, 9501);
+
+        let mut fresh = Mat::zeros(n, k);
+        blas::level3::symm_lower(2.0, &low.as_ref(), &b.as_ref(), 0.0, &mut fresh.as_mut());
+        let mut c = Mat::from_fn(n, k, |_, _| f64::NAN);
+        blas::level3::symm_lower(2.0, &low.as_ref(), &b.as_ref(), 0.0, &mut c.as_mut());
+        assert_eq!(c, fresh, "n={n}: beta = 0 read the NaN in C");
+
+        let w = blas::level3::SYMM_NB.min(n);
+        let mut dirty = vec![f64::NAN; w * w];
+        let mut c = Mat::zeros(n, k);
+        let (a, bv) = (low.as_ref(), b.as_ref());
+        blas::level3::symm_lower_ws(2.0, &a, &bv, 0.0, &mut c.as_mut(), &mut dirty);
+        assert_eq!(c, fresh, "n={n}: scratch contents leaked into C");
+
+        let c0 = gen::random(n, k, 9502);
+        let mut c = c0.clone();
+        blas::level3::symm_lower(0.0, &low.as_ref(), &b.as_ref(), 0.5, &mut c.as_mut());
+        let halved = Mat::from_fn(n, k, |i, j| 0.5 * c0[(i, j)]);
+        assert_eq!(c, halved, "n={n}: alpha = 0 must leave beta·C");
+
+        let mut c = Mat::from_fn(n, k, |_, _| f64::NAN);
+        blas::level3::symm_lower(0.0, &low.as_ref(), &b.as_ref(), 0.0, &mut c.as_mut());
+        assert!(c.as_slice().iter().all(|x| x.to_bits() == 0), "n={n}");
+    }
+}

@@ -173,3 +173,26 @@ fn syr2k_square_bitwise_across_tg_threads_and_matches_ref() {
     }
     std::env::remove_var("TG_THREADS");
 }
+
+/// `symm_lower` (three GEMMs per 128-wide block column) is bitwise-stable
+/// between `TG_THREADS=1` and `2`: its below-diagonal GEMMs span several
+/// row strips at `n = 300`, so the parallel driver genuinely partitions.
+#[test]
+fn symm_lower_bitwise_across_tg_threads() {
+    let _guard = ENV_LOCK.lock().unwrap();
+    let (n, k) = (300, 32);
+    let a = gen::random_symmetric(n, 8200);
+    let b = gen::random(n, k, 8201);
+    let c0 = gen::random(n, k, 8202);
+    let mut reference: Option<Mat> = None;
+    for t in [1usize, 2] {
+        std::env::set_var("TG_THREADS", t.to_string());
+        let mut c = c0.clone();
+        blas::level3::symm_lower(-0.7, &a.as_ref(), &b.as_ref(), 0.3, &mut c.as_mut());
+        match &reference {
+            None => reference = Some(c),
+            Some(r) => assert_bitwise_eq(r, &c, &format!("symm_lower TG_THREADS={t}")),
+        }
+    }
+    std::env::remove_var("TG_THREADS");
+}
