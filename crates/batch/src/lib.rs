@@ -9,16 +9,15 @@
 //!
 //! * [`BatchScheduler`] — runs `syevd` / `tridiagonalize` over a slice of
 //!   problems on a pool of worker threads, handing out work through an
-//!   atomic index queue; each worker keeps one [`tridiag_core::CachingPool`]
-//!   warm across the same-[`tridiag_core::ShapeClass`] problems it solves,
+//!   atomic index queue; every problem runs the single-problem path, with
+//!   its scratch freshly allocated and zeroed,
 //! * [`BatchResult`] / [`BatchStats`] — per-problem outputs in input
-//!   order plus scheduling and workspace-pool statistics.
+//!   order plus scheduling statistics.
 //!
 //! The headline contract is **per-problem determinism**: every batched
 //! result is bitwise-identical to the single-problem `syevd`/
 //! `tridiagonalize` output, independent of worker count and scheduling
-//! order. See `docs/BATCHING.md` for how the pool's zero-fill contract
-//! makes that hold.
+//! order. See `docs/BATCHING.md` for why that holds.
 //!
 //! ```
 //! use tg_batch::BatchScheduler;
@@ -29,18 +28,9 @@
 //! let method = EvdMethod::proposed_default(16);
 //! let batch = BatchScheduler::new(2).syevd(&problems, &method, true).unwrap();
 //! assert_eq!(batch.results.len(), 4);
-//! assert!(batch.stats.arena.hit_rate() > 0.0);
+//! assert!(batch.stats.workers <= 2);
 //! ```
 
 pub mod scheduler;
 
 pub use scheduler::{BatchResult, BatchScheduler, BatchStats, CancelToken};
-
-/// Trace sessions are process-global: a test that records arena counters
-/// while another test's session is open leaks them into its totals. Every
-/// test in this crate that solves holds this lock.
-#[cfg(test)]
-pub(crate) fn serial() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}

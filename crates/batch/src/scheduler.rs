@@ -3,28 +3,28 @@
 //! The scheduler owns nothing between calls: each call hands the problem
 //! indices to [`tg_blas::threads::run_tasks`] with `workers` lanes, which
 //! claim them from one atomic cursor (dynamic work stealing — cheap and
-//! fair for uneven problem times), and gives every lane its own
-//! [`CachingPool`]. Results come back in task order, so output order
-//! always matches input order no matter which worker ran what.
+//! fair for uneven problem times). Results come back in task order, so
+//! output order always matches input order no matter which worker ran
+//! what.
 //!
 //! # Determinism contract
 //!
 //! Every problem is computed *exactly* as the single-problem path computes
-//! it: same kernels, same operation order, with scratch matrices that the
-//! pool guarantees are bitwise-zero on acquisition (see
-//! [`tridiag_core::workspace`]). A problem's result therefore depends only
-//! on its own input — never on which worker picked it up, how many workers
-//! there are, or what ran before it on the same pool. This is asserted
-//! bitwise by the tests here and in `tests/batching.rs`.
+//! it: each worker calls the same [`fn@tg_eigen::syevd`] /
+//! [`tridiag_core::tridiagonalize`], whose scratch is fresh zeroed
+//! allocation. A problem's result therefore depends only on its own input
+//! — never on which worker picked it up, how many workers there are, or
+//! what ran before it. This is asserted bitwise by the tests here and in
+//! `tests/batching.rs`.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use tg_blas::threads::{run_tasks, Spans};
-use tg_eigen::{syevd_ws, EigenError, Evd, EvdMethod};
+use tg_eigen::{syevd, EigenError, Evd, EvdMethod};
 use tg_matrix::Mat;
-use tridiag_core::{tridiagonalize_ws, CachingPool, Method, PoolStats, TridiagResult};
+use tridiag_core::{tridiagonalize, Method, TridiagResult};
 
 /// Execution statistics for one batch call.
 #[derive(Clone, Copy, Debug)]
@@ -37,8 +37,6 @@ pub struct BatchStats {
     pub workers: usize,
     /// Wall-clock time for the whole batch.
     pub wall: Duration,
-    /// Workspace-pool hit/miss counts summed over all workers.
-    pub arena: PoolStats,
 }
 
 impl BatchStats {
@@ -59,7 +57,7 @@ impl BatchStats {
 pub struct BatchResult<T> {
     /// `results[i]` is the output for `problems[i]`.
     pub results: Vec<T>,
-    /// Scheduling / workspace-pool statistics.
+    /// Scheduling statistics.
     pub stats: BatchStats,
 }
 
@@ -146,10 +144,8 @@ impl BatchScheduler {
         want_vectors: bool,
         token: &CancelToken,
     ) -> Result<BatchResult<Option<Evd>>, EigenError> {
-        let (raw, stats) = self.run(problems.len(), token, |i, pool| {
-            pool.begin_problem(method.shape_class(problems[i].nrows()));
-            let mut a = problems[i].clone();
-            syevd_ws(&mut a, method, want_vectors, pool)
+        let (raw, stats) = self.run(problems.len(), token, |i| {
+            syevd(&mut problems[i].clone(), method, want_vectors)
         });
         let results = raw
             .into_iter()
@@ -160,10 +156,8 @@ impl BatchScheduler {
 
     /// Tridiagonalizes every matrix in `problems` (inputs preserved).
     pub fn tridiagonalize(&self, problems: &[Mat], method: &Method) -> BatchResult<TridiagResult> {
-        let (raw, stats) = self.run(problems.len(), &CancelToken::new(), |i, pool| {
-            pool.begin_problem(method.shape_class(problems[i].nrows()));
-            let mut a = problems[i].clone();
-            tridiagonalize_ws(&mut a, method, pool)
+        let (raw, stats) = self.run(problems.len(), &CancelToken::new(), |i| {
+            tridiagonalize(&mut problems[i].clone(), method)
         });
         let results = raw
             .into_iter()
@@ -172,36 +166,32 @@ impl BatchScheduler {
         BatchResult { results, stats }
     }
 
-    /// Generic work loop: runs `f(i, pool)` for every index `0..count` as
-    /// one [`run_tasks`] task list (`batch.problem` task spans), each lane
-    /// with its own pool, and returns results in index order plus merged
-    /// stats. Problems not yet started once `token` is cancelled come back
-    /// `None`.
+    /// Generic work loop: runs `f(i)` for every index `0..count` as one
+    /// [`run_tasks`] task list (`batch.problem` task spans) and returns
+    /// results in index order plus stats. Problems not yet started once
+    /// `token` is cancelled come back `None`.
     fn run<T, F>(&self, count: usize, token: &CancelToken, f: F) -> (Vec<Option<T>>, BatchStats)
     where
         T: Send,
-        F: Fn(usize, &mut CachingPool) -> T + Sync,
+        F: Fn(usize) -> T + Sync,
     {
         let start = Instant::now();
         let workers = self.workers.min(count.max(1));
-        let mut pools: Vec<CachingPool> = (0..workers).map(|_| CachingPool::new()).collect();
         let spans = Spans {
             region: "parallel.batch",
             worker: "batch.worker",
             task: "batch.problem",
         };
-        let results = run_tasks(spans, (0..count).collect(), &mut pools, |pool, i| {
-            (!token.is_cancelled()).then(|| f(i, pool))
-        });
-        let mut merged = PoolStats::default();
-        for pool in &pools {
-            merged.merge(&pool.stats());
-        }
+        let results = run_tasks(
+            spans,
+            (0..count).collect(),
+            &mut vec![(); workers],
+            |_, i| (!token.is_cancelled()).then(|| f(i)),
+        );
         let stats = BatchStats {
             problems: count,
             workers,
             wall: start.elapsed(),
-            arena: merged,
         };
         (results, stats)
     }
@@ -221,7 +211,6 @@ mod tests {
 
     #[test]
     fn evd_bitwise_identical_to_single_problem_path() {
-        let _g = crate::serial();
         let n = 24;
         let probs = problems(6, n);
         let method = EvdMethod::proposed_default(n);
@@ -239,7 +228,6 @@ mod tests {
 
     #[test]
     fn evd_worker_count_does_not_change_results() {
-        let _g = crate::serial();
         let n = 20;
         let probs = problems(5, n);
         let method = EvdMethod::proposed_default(n);
@@ -255,7 +243,6 @@ mod tests {
 
     #[test]
     fn tridiag_batch_matches_single() {
-        let _g = crate::serial();
         let n = 28;
         let probs = problems(4, n);
         let method = Method::paper_default(n);
@@ -274,52 +261,7 @@ mod tests {
     }
 
     #[test]
-    fn arena_stats_match_trace_counters() {
-        let _g = crate::serial();
-        let n = 24;
-        let probs = problems(4, n);
-        let method = EvdMethod::proposed_default(n);
-        let session = tg_trace::TraceSession::begin();
-        let batch = BatchScheduler::new(2)
-            .syevd(&probs, &method, false)
-            .unwrap();
-        let trace = session.finish();
-        assert_eq!(
-            batch.stats.arena.hits,
-            trace.total(tg_trace::Counter::ArenaHit),
-            "arena hit count must agree with the trace counter"
-        );
-        assert_eq!(
-            batch.stats.arena.misses,
-            trace.total(tg_trace::Counter::ArenaMiss),
-            "arena miss count must agree with the trace counter"
-        );
-        assert_eq!(batch.stats.problems, probs.len());
-    }
-
-    #[test]
-    fn uniform_batch_hit_rate_exceeds_90_percent() {
-        let _g = crate::serial();
-        // One worker, 16 identical-shape problems: after the first (all-
-        // miss) problem every workspace request is served from the cache.
-        let n = 32;
-        let probs = problems(16, n);
-        let method = EvdMethod::proposed_default(n);
-        let batch = BatchScheduler::new(1)
-            .syevd(&probs, &method, false)
-            .unwrap();
-        let stats = batch.stats.arena;
-        assert!(stats.hits + stats.misses > 0, "arena unused");
-        assert!(
-            stats.hit_rate() > 0.9,
-            "uniform-shape batch should be >90% hits, got {:.1}% ({stats:?})",
-            100.0 * stats.hit_rate()
-        );
-    }
-
-    #[test]
     fn cancelled_token_before_start_runs_nothing() {
-        let _g = crate::serial();
         let n = 16;
         let probs = problems(4, n);
         let method = EvdMethod::proposed_default(n);
@@ -335,7 +277,6 @@ mod tests {
 
     #[test]
     fn cancellation_never_changes_finished_results() {
-        let _g = crate::serial();
         let n = 20;
         let probs = problems(6, n);
         let method = EvdMethod::proposed_default(n);
@@ -370,7 +311,6 @@ mod tests {
 
     #[test]
     fn empty_batch() {
-        let _g = crate::serial();
         let method = EvdMethod::proposed_default(8);
         let batch = BatchScheduler::new(4).syevd(&[], &method, true).unwrap();
         assert!(batch.results.is_empty());

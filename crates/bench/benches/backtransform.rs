@@ -1,12 +1,12 @@
 //! Criterion bench for Figure 14: conventional ormqr-ordered back
-//! transformation vs the Figure-13 blocked-W scheme (the pooled
-//! panel-parallel path `syevd` runs, at `gemm_threads()` workers).
+//! transformation vs the Figure-13 blocked-W scheme (the panel-parallel
+//! path `syevd` runs, at `gemm_threads()` workers).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use tg_blas::threads::gemm_threads;
 use tg_matrix::gen;
 use tridiag_core::backtransform::{
-    apply_blocks_panels, apply_q1, apply_q1_blocked_ws, release_blocks,
+    apply_blocks_panels, apply_q1, merge_q1_blocked_ws, release_blocks,
 };
 use tridiag_core::{band_reduce, AllocPool, PanelPools};
 
@@ -30,14 +30,9 @@ fn bench_bt(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("blocked_w", k), &k, |bench, &k| {
             bench.iter(|| {
                 let mut cm = c0.clone();
-                apply_q1_blocked_ws(
-                    &red.factors,
-                    &mut cm,
-                    k,
-                    &mut AllocPool,
-                    workers,
-                    &mut pools,
-                );
+                let merged = merge_q1_blocked_ws(&red.factors, k, &mut AllocPool);
+                apply_blocks_panels(&merged, &mut cm, workers, &mut pools);
+                release_blocks(merged, &mut AllocPool);
                 cm
             });
         });

@@ -1,5 +1,5 @@
 //! Criterion bench for batched EVD throughput: the serial reference loop
-//! vs the `tg-batch` scheduler (worker pool + cached workspace arenas).
+//! vs the `tg-batch` scheduler's worker pool.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use tg_batch::BatchScheduler;

@@ -616,9 +616,8 @@ fn golden_regen() {
 
 /// One batched-EVD solve that crosses every instrumented fault site:
 /// DBBR (`stage1.band`, `blas.syr2k`), bulge chasing (`bc.tri`), the
-/// tridiagonal eigensolver (`evd.values`), the blocked back transformation
-/// (`backtransform.q`), and the single worker's caching pool (`arena.acquire`, which
-/// needs a cache hit, i.e. at least two same-shape problems on one worker).
+/// tridiagonal eigensolver (`evd.values`) and the blocked back
+/// transformation (`backtransform.q`).
 fn fault_workload() {
     use tg_matrix::gen;
     let n = 48;
@@ -1435,7 +1434,6 @@ fn batch_scaling() {
                 fmt_time(p.serial_s),
                 fmt_time(p.batched_s),
                 format!("{:.2}x", p.speedup()),
-                format!("{:.1}%", 100.0 * p.hit_rate),
             ]
         })
         .collect();
@@ -1443,7 +1441,7 @@ fn batch_scaling() {
         "{}",
         render_table(
             &format!("batch scaling — {count} EVDs of n = {n}, H100 model"),
-            &["workers", "serial loop", "batched", "speedup", "arena hits"],
+            &["workers", "serial loop", "batched", "speedup"],
             &rows
         )
     );
@@ -1461,7 +1459,7 @@ fn batch_scaling() {
     // CPU-scale measured run of the real scheduler (small sizes: this
     // host is the correctness substrate, not the performance substrate).
     let workers = tg_blas::threads::worker_threads();
-    let (ms, hit_rate) = measured::batch_compare(48, 12, workers);
+    let ms = measured::batch_compare(48, 12, workers);
     println!(
         "{}",
         render_table(
@@ -1470,5 +1468,4 @@ fn batch_scaling() {
             &measured::to_rows(&ms)
         )
     );
-    println!("measured arena hit rate: {:.1}%", 100.0 * hit_rate);
 }

@@ -119,14 +119,12 @@ pub fn verification_suite(n: usize) -> Vec<Check> {
 }
 
 /// Measured batched EVD: the serial reference loop
-/// ([`tg_eigen::syevd_batched`]) vs the `tg-batch` scheduler with cached
-/// per-worker workspace arenas. Returns the measurements plus the arena
-/// hit rate the scheduler achieved.
+/// ([`tg_eigen::syevd_batched`]) vs the `tg-batch` scheduler.
 ///
-/// On a single-core host the scheduler's win is limited to allocation
-/// reuse; the paper-scale overlap win is composed by
-/// `tg_gpu_sim::batch` (see `repro batch_scaling`, which prints both).
-pub fn batch_compare(n: usize, count: usize, workers: usize) -> (Vec<Measurement>, f64) {
+/// On a single-core host the scheduler has nothing to overlap; the
+/// paper-scale overlap win is composed by `tg_gpu_sim::batch` (see
+/// `repro batch_scaling`, which prints both).
+pub fn batch_compare(n: usize, count: usize, workers: usize) -> Vec<Measurement> {
     let problems: Vec<_> = (0..count)
         .map(|i| gen::random_symmetric(n, 100 + i as u64))
         .collect();
@@ -154,7 +152,7 @@ pub fn batch_compare(n: usize, count: usize, workers: usize) -> (Vec<Measurement
         seconds: t_batch,
         gflops: flops / t_batch / 1e9,
     });
-    (out, batch.stats.arena.hit_rate())
+    out
 }
 
 /// Measurement rows → printable table rows.

@@ -169,7 +169,7 @@ pub struct Spans {
 /// task order.
 ///
 /// `min(workers.len(), tasks.len())` workers run; `workers[w]` is lane
-/// `w`'s private state (scratch pools, arenas — `()` when there is none).
+/// `w`'s private state (scratch buffers — `()` when there is none).
 /// The calling thread is lane 0, so with one worker the tasks run inline,
 /// in order, without spawning and without entering a parallel region;
 /// otherwise `workers − 1` scoped threads are spawned, every lane

@@ -27,8 +27,6 @@ pub enum StageData<'a> {
         oracle: &'a [f64],
         gershgorin: (f64, f64),
     },
-    /// A workspace buffer just handed out by a pool/arena.
-    Workspace { buf: &'a [f64] },
 }
 
 /// One pluggable invariant check. `check` returns `None` when the stage
@@ -266,44 +264,6 @@ impl StageChecker for SpectrumChecker {
     }
 }
 
-/// Workspace-pool contract: an acquired buffer is bitwise zero. Catches
-/// both stale reuse and leaked debug NaN-poison (see
-/// `tridiag_core::CachingPool`).
-pub struct WorkspaceZeroChecker;
-
-impl StageChecker for WorkspaceZeroChecker {
-    fn name(&self) -> &'static str {
-        "workspace_zero"
-    }
-
-    fn check(&self, data: &StageData<'_>) -> Option<CheckRecord> {
-        let StageData::Workspace { buf } = *data else {
-            return None;
-        };
-        let dirty = buf
-            .iter()
-            .position(|&x| x.to_bits() != 0)
-            .map(|i| (i, buf[i]));
-        let pass = dirty.is_none();
-        Some(CheckRecord {
-            checker: self.name(),
-            value: dirty.map_or(0.0, |(_, v)| {
-                if v.is_finite() {
-                    v.abs()
-                } else {
-                    f64::INFINITY
-                }
-            }),
-            threshold: 0.0,
-            pass,
-            detail: match dirty {
-                Some((i, v)) => format!("non-zero entry {v:e} at index {i} (len {})", buf.len()),
-                None => format!("len {}", buf.len()),
-            },
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -474,26 +434,6 @@ mod tests {
     }
 
     #[test]
-    fn workspace_checker_bitwise_zero() {
-        let clean = vec![0.0; 64];
-        let rec = run(&WorkspaceZeroChecker, &StageData::Workspace { buf: &clean });
-        assert!(rec.pass);
-        let mut dirty = clean.clone();
-        dirty[17] = f64::NAN;
-        let rec = run(&WorkspaceZeroChecker, &StageData::Workspace { buf: &dirty });
-        assert!(!rec.pass);
-        assert!(rec.detail.contains("index 17"));
-        // negative zero has a non-zero bit pattern: the contract is bitwise
-        let mut negzero = clean;
-        negzero[0] = -0.0;
-        let rec = run(
-            &WorkspaceZeroChecker,
-            &StageData::Workspace { buf: &negzero },
-        );
-        assert!(!rec.pass);
-    }
-
-    #[test]
     fn checkers_ignore_foreign_stages() {
         let tri = Tridiagonal::new(vec![1.0], vec![]);
         let data = StageData::Tridiag { tri: &tri };
@@ -501,6 +441,5 @@ mod tests {
         assert!(OrthogonalityChecker { tol: 0.0 }.check(&data).is_none());
         assert!(SimilarityChecker { tol: 0.0 }.check(&data).is_none());
         assert!(SpectrumChecker { tol: 0.0 }.check(&data).is_none());
-        assert!(WorkspaceZeroChecker.check(&data).is_none());
     }
 }

@@ -1,7 +1,7 @@
 //! Deterministic fault injection.
 //!
-//! A [`FaultPlan`] names *where* (a fault site — a stage boundary or
-//! workspace the pipelines expose) and *what* (a [`FaultKind`]) to corrupt.
+//! A [`FaultPlan`] names *where* (a fault site — a stage boundary the
+//! pipelines expose) and *what* (a [`FaultKind`]) to corrupt.
 //! Sites fire at most once per session, are recorded as [`FiredFault`]s in
 //! the [`crate::CheckReport`], and bump
 //! [`tg_trace::Counter::FaultsInjected`], so a campaign can assert both
@@ -17,7 +17,6 @@
 //! | `backtransform.q` | eigenvector matrix after the back-transform (syevd)   |
 //! | `blas.syr2k`      | output tile of the blocked SYR2K update (tg-blas)     |
 //! | `blas.panel_qr`   | panel `W` factor after the stage-1 panel QR (dbbr)    |
-//! | `arena.acquire`   | skips the caching pool's zero-fill on a reuse hit     |
 //!
 //! Everything is seed-deterministic: [`FaultPlan::campaign`] derives kinds
 //! and indices from a splitmix64 stream, so `TG_FAULT_SEED=101` reproduces
@@ -40,9 +39,6 @@ pub enum FaultKind {
     SignFlip,
     /// Relative+absolute bump: `x += delta · (1 + |x|)`.
     Perturb(f64),
-    /// Skip a zero-initialization the contract requires (only meaningful at
-    /// workspace sites such as `arena.acquire`).
-    SkipZero,
 }
 
 /// One planned corruption.
@@ -63,14 +59,13 @@ pub struct FaultPlan {
 }
 
 /// Every site the pipelines expose, in pipeline order.
-pub const SITES: [&str; 7] = [
+pub const SITES: [&str; 6] = [
     "stage1.band",
     "bc.tri",
     "evd.values",
     "backtransform.q",
     "blas.syr2k",
     "blas.panel_qr",
-    "arena.acquire",
 ];
 
 impl FaultPlan {
@@ -89,15 +84,11 @@ impl FaultPlan {
         let faults = SITES
             .iter()
             .map(|&site| {
-                let kind = if site == "arena.acquire" {
-                    FaultKind::SkipZero
-                } else {
-                    match splitmix64(&mut s) % 4 {
-                        0 => FaultKind::Nan,
-                        1 => FaultKind::Inf,
-                        2 => FaultKind::SignFlip,
-                        _ => FaultKind::Perturb(1e-2),
-                    }
+                let kind = match splitmix64(&mut s) % 4 {
+                    0 => FaultKind::Nan,
+                    1 => FaultKind::Inf,
+                    2 => FaultKind::SignFlip,
+                    _ => FaultKind::Perturb(1e-2),
                 };
                 let index = (splitmix64(&mut s) % 4096) as usize;
                 Fault { site, kind, index }
@@ -228,7 +219,6 @@ pub fn apply(kind: FaultKind, x: &mut f64) {
             *x = -*x;
         }
         FaultKind::Perturb(delta) => *x += delta * (1.0 + x.abs()),
-        FaultKind::SkipZero => {}
     }
 }
 
@@ -301,41 +291,6 @@ pub fn inject_mat(site: &'static str, m: &mut Mat) -> Option<FiredFault> {
     inject(site, m.as_mut_slice())
 }
 
-/// True when the pending fault for `site` is [`FaultKind::SkipZero`]:
-/// the call site should skip its zero-initialization. Fires the fault.
-pub fn skip_zero(site: &'static str) -> bool {
-    if !crate::enabled() {
-        return false;
-    }
-    let should_skip = {
-        let mut guard = lock_unpoisoned(armed());
-        let Some(armed) = guard.as_mut() else {
-            return false;
-        };
-        let pos = armed
-            .pending
-            .iter()
-            .position(|f| f.site == site && f.kind == FaultKind::SkipZero);
-        match pos {
-            Some(p) => {
-                let fault = armed.pending.remove(p);
-                armed.fired.push(FiredFault {
-                    site,
-                    kind: fault.kind,
-                    index: fault.index,
-                });
-                true
-            }
-            None => false,
-        }
-    };
-    if should_skip {
-        tg_trace::add(tg_trace::Counter::FaultsInjected, 1);
-        bump_fired_on_thread();
-    }
-    should_skip
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -358,8 +313,6 @@ mod tests {
             .iter()
             .zip(&c.faults)
             .any(|(x, y)| x.kind != y.kind || x.index != y.index));
-        // arena site is always SkipZero
-        assert_eq!(a.for_site("arena.acquire")[0].kind, FaultKind::SkipZero);
     }
 
     #[test]
@@ -383,7 +336,6 @@ mod tests {
     fn inject_without_session_is_inert() {
         let mut buf = vec![1.0; 4];
         assert!(inject("stage1.band", &mut buf).is_none());
-        assert!(!skip_zero("arena.acquire"));
         assert_eq!(buf, vec![1.0; 4]);
     }
 
@@ -418,30 +370,6 @@ mod tests {
         assert!(j + off < band.n(), "landed in padding: col {j} off {off}");
         assert!(band.at(j + off, j).is_infinite());
         let _ = session.finish();
-    }
-
-    #[test]
-    fn skip_zero_only_matches_skip_kind() {
-        let _g = crate::serial();
-        let cfg = CheckConfig::strict().with_faults(FaultPlan::single(
-            "arena.acquire",
-            FaultKind::Nan,
-            0,
-        ));
-        let session = CheckSession::begin(cfg);
-        assert!(!skip_zero("arena.acquire")); // kind is Nan, not SkipZero
-        let _ = session.finish();
-
-        let cfg = CheckConfig::strict().with_faults(FaultPlan::single(
-            "arena.acquire",
-            FaultKind::SkipZero,
-            0,
-        ));
-        let session = CheckSession::begin(cfg);
-        assert!(skip_zero("arena.acquire"));
-        assert!(!skip_zero("arena.acquire")); // fire-once
-        let report = session.finish();
-        assert_eq!(report.faults_fired.len(), 1);
     }
 
     #[test]

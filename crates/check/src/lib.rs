@@ -12,12 +12,12 @@
 //! * [`StageChecker`] — one trait per invariant, with LAPACK-convention
 //!   implementations in [`checkers`] (band exactness, tridiagonal form,
 //!   `‖QᵀQ − I‖_F/√n`, `‖A − QTQᵀ‖_F/‖A‖_F`, eigenvalue bounds against a
-//!   `sterf` oracle, workspace-zeroing contract),
+//!   `sterf` oracle),
 //! * [`CheckSession`] / [`CheckConfig`] — process-global, zero-cost-when-
 //!   disabled gating mirroring `tg-trace`: every hook entry point reads one
 //!   relaxed atomic and bails when no session is live,
 //! * [`fault`] — deterministic fault injection (NaN / Inf / sign flip /
-//!   perturbation into named stage boundaries and workspaces) used to prove
+//!   perturbation into named stage boundaries) used to prove
 //!   each checker actually fires,
 //! * [`golden`] — the serialized regression corpus model backing
 //!   `tests/golden/` and `repro verify`.
@@ -56,7 +56,7 @@ pub mod golden;
 
 pub use checkers::{
     BandStructureChecker, OrthogonalityChecker, SimilarityChecker, SpectrumChecker, StageChecker,
-    StageData, TridiagonalFormChecker, WorkspaceZeroChecker,
+    StageData, TridiagonalFormChecker,
 };
 pub use fault::{Fault, FaultKind, FaultPlan, FiredFault};
 
@@ -103,7 +103,7 @@ impl CheckConfig {
         }
     }
 
-    /// Structural checks only (band / tridiagonal / spectrum / workspace):
+    /// Structural checks only (band / tridiagonal / spectrum):
     /// everything that is at most `O(n²)` on top of the reduction itself.
     pub fn fast() -> CheckConfig {
         CheckConfig {
@@ -260,7 +260,6 @@ impl CheckSession {
             Box::new(SpectrumChecker {
                 tol: cfg.spectrum_tol,
             }),
-            Box::new(WorkspaceZeroChecker),
         ];
         *lock_unpoisoned(state()) = Some(SessionState {
             checkers,
@@ -390,16 +389,6 @@ pub fn stage_spectrum(computed: &[f64], oracle: &[f64], gershgorin: (f64, f64)) 
         oracle,
         gershgorin,
     });
-}
-
-/// Workspace-pool acquisition contract: the buffer handed out must be
-/// bitwise zero (catches leaked debug NaN-poison and stale reuse).
-#[inline]
-pub fn workspace_clean(buf: &[f64]) {
-    if !enabled() {
-        return;
-    }
-    run_stage(&StageData::Workspace { buf });
 }
 
 #[cfg(test)]

@@ -449,13 +449,12 @@ fn main() {
             let s = batch.stats;
             eprintln!(
                 "solved {} problems of n={} on {} workers in {:.3}s \
-                 ({:.1} problems/s, arena hit rate {:.1}%)",
+                 ({:.1} problems/s)",
                 s.problems,
                 n,
                 s.workers,
                 s.wall.as_secs_f64(),
-                s.throughput(),
-                100.0 * s.arena.hit_rate()
+                s.throughput()
             );
         }
         "serve" => {

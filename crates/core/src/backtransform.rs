@@ -8,16 +8,15 @@
 //!   every GEMM has inner dimension `b` (slow on wide GPUs — Figure 14's
 //!   baseline). It applies any ordered block list, in either direction,
 //!   so it is also the tolerance oracle for the blocked path.
-//! * [`apply_q1_blocked_ws`] — the Figure-13 scheme, and the only blocked
-//!   implementation: factors are merged pairwise (batched) into blocks of
-//!   width `≥ target_k` **once**, with pool-backed scratch
+//! * The Figure-13 scheme, the only blocked implementation: factors are
+//!   merged pairwise (batched) into blocks of width `≥ target_k` **once**
 //!   ([`merge_q1_blocked_ws`]), so the apply GEMMs become `n × k`-sized at
 //!   the cost of extra flops for the merged `W`s. The merged read-only
 //!   blocks are then applied to fixed-width *column panels* of `C` as one
 //!   task list ([`apply_blocks_panels`]). Within a panel, runs of narrow
 //!   blocks (width ≤ [`SWEEP_GROUP`]: the bulge-chasing Q₂ blocks) take the
 //!   fused row-major kernel of [`tg_blas::narrow`]; wider blocks take two
-//!   GEMMs.
+//!   GEMMs. `TridiagResult::apply_q_blocked` runs both halves.
 //!
 //! # Why panels split columns, never the factor product
 //!
@@ -34,7 +33,7 @@
 //! order.
 
 use crate::bc::backward::SWEEP_GROUP;
-use crate::workspace::{CachingPool, PoolStats, WorkspacePool};
+use crate::AllocPool;
 use tg_blas::narrow;
 use tg_blas::threads::{run_tasks, Spans};
 use tg_blas::{gemm, gemm_into, Kernel, Op};
@@ -88,7 +87,7 @@ fn apply_factor_trans(f: &WyPair, c: &mut MatMut<'_>) {
 /// Zero-pads a factor with `pad` rows on top (embedding it in a larger
 /// identity) so factors with different supports can be merged. The padded
 /// storage is pool-acquired (caller releases).
-fn pad_top_ws(f: &WyPair, pad: usize, rows: usize, pool: &mut dyn WorkspacePool) -> WyPair {
+fn pad_top_ws(f: &WyPair, pad: usize, rows: usize, pool: &mut AllocPool) -> WyPair {
     let k = f.width();
     let m = f.w.nrows();
     assert!(pad + m <= rows);
@@ -99,8 +98,8 @@ fn pad_top_ws(f: &WyPair, pad: usize, rows: usize, pool: &mut dyn WorkspacePool)
     WyPair { w, y }
 }
 
-/// The merge half of [`apply_q1_blocked_ws`], run **once** so the wide
-/// blocks can be shared read-only across all column panels. Consecutive
+/// The merge half of the Figure-13 back transformation, run **once** so
+/// the wide blocks can be shared read-only across all column panels. Consecutive
 /// factors are grouped until each group holds `target_k / b` factors;
 /// within a group the factors are zero-padded to the group's leading
 /// offset and merged level-by-level with batched GEMMs
@@ -112,7 +111,7 @@ fn pad_top_ws(f: &WyPair, pad: usize, rows: usize, pool: &mut dyn WorkspacePool)
 pub fn merge_q1_blocked_ws(
     factors: &[(usize, WyPair)],
     target_k: usize,
-    pool: &mut dyn WorkspacePool,
+    pool: &mut AllocPool,
 ) -> Vec<(usize, WyPair)> {
     let _span = tg_trace::span_cat(
         "backtransform.merge",
@@ -142,20 +141,19 @@ pub fn merge_q1_blocked_ws(
 
 /// Releases every matrix of a pool-acquired block list (the counterpart of
 /// [`merge_q1_blocked_ws`] / `BcResult::sweep_blocks_ws`).
-pub fn release_blocks(blocks: Vec<(usize, WyPair)>, pool: &mut dyn WorkspacePool) {
+pub fn release_blocks(blocks: Vec<(usize, WyPair)>, pool: &mut AllocPool) {
     for (_, f) in blocks {
         pool.release(f.w);
         pool.release(f.y);
     }
 }
 
-/// Per-worker scratch pools for the panel loop, reusable across calls so a
-/// steady-state driver (the bench sweep, a batched EVD) reaches an
-/// allocation-free hot path. Workers never share a pool, so the panel loop
-/// takes no locks on the acquire/release path.
+/// Per-lane scratch for the panel loop: one grow-only buffer per worker
+/// lane, kept across calls. Each panel zero-fills the prefix it uses, so
+/// no panel can read bits a previous panel (or problem) left behind.
 #[derive(Default)]
 pub struct PanelPools {
-    pools: Vec<CachingPool>,
+    lanes: Vec<Vec<f64>>,
 }
 
 impl PanelPools {
@@ -163,22 +161,12 @@ impl PanelPools {
         Self::default()
     }
 
-    /// At least `workers` pools, growing on demand (existing pools keep
-    /// their caches).
-    fn for_workers(&mut self, workers: usize) -> &mut [CachingPool] {
-        while self.pools.len() < workers {
-            self.pools.push(CachingPool::new());
+    /// At least `workers` lane buffers, growing on demand.
+    fn for_workers(&mut self, workers: usize) -> &mut [Vec<f64>] {
+        if self.lanes.len() < workers {
+            self.lanes.resize_with(workers, Vec::new);
         }
-        &mut self.pools[..workers]
-    }
-
-    /// Hit/miss counts summed over all worker pools.
-    pub fn stats(&self) -> PoolStats {
-        let mut total = PoolStats::default();
-        for p in &self.pools {
-            total.merge(&p.stats());
-        }
-        total
+        &mut self.lanes[..workers]
     }
 }
 
@@ -188,8 +176,9 @@ impl PanelPools {
 /// [`tg_blas::threads::run_tasks`].
 ///
 /// The blocks are shared read-only; each panel applies the full product in
-/// reverse order with one scratch from its lane's private [`CachingPool`]
-/// (the row-major copy of a run of narrow blocks, or a wide block's `YᵀC`).
+/// reverse order with one zero-filled scratch from its lane's buffer in
+/// `panel_pools` (the row-major copy of a run of narrow blocks, or a wide
+/// block's `YᵀC`).
 /// Panel boundaries are independent of `workers`, so the
 /// result is bitwise-identical for every worker count (one worker applies
 /// the same panels in order on the calling thread). Lanes of a multi-worker
@@ -237,25 +226,27 @@ pub(crate) fn apply_blocks_panels_with_kernel(
         spans,
         panels,
         panel_pools.for_workers(workers),
-        |pool, mut panel| apply_blocks_to_panel(blocks, &mut panel, pool, kernel),
+        |buf, mut panel| apply_blocks_to_panel(blocks, &mut panel, buf, kernel),
     );
 }
 
 /// One panel's work: the full ordered product, reverse order. Maximal
 /// runs of consecutive narrow blocks go through the fused row-major
 /// kernel; every other block through [`WyPair::apply_left_in`], on
-/// exactly the rows it acts on. One pooled scratch serves both: the
-/// row-major copy of a run, or a wide block's `YᵀC`.
+/// exactly the rows it acts on. One zeroed scratch in `buf` serves both:
+/// the row-major copy of a run, or a wide block's `YᵀC`.
 fn apply_blocks_to_panel(
     blocks: &[(usize, WyPair)],
     panel: &mut MatMut<'_>,
-    pool: &mut CachingPool,
+    buf: &mut Vec<f64>,
     kernel: Kernel,
 ) {
     let cols = panel.ncols();
     let widest = blocks.iter().map(|(_, f)| f.width()).max().unwrap_or(0);
     let len = (panel.nrows() * narrow::row_stride(cols)).max(widest * cols);
-    let mut scratch = pool.acquire(len, 1);
+    buf.clear();
+    buf.resize(len, 0.0);
+    let scratch = buf.as_mut_slice();
     let mut end = blocks.len();
     while end > 0 {
         let run_is_narrow = is_narrow(&blocks[end - 1].1);
@@ -265,17 +256,16 @@ fn apply_blocks_to_panel(
             .map_or(0, |i| i + 1);
         let run = &blocks[start..end];
         if run_is_narrow {
-            apply_narrow_run(run, panel, scratch.as_mut_slice(), kernel);
+            apply_narrow_run(run, panel, scratch, kernel);
         } else {
             for (off, f) in run.iter().rev() {
                 let (_, below) = panel.rb_mut().split_at_row(*off);
                 let (mut sub, _) = below.split_at_row(f.w.nrows());
-                f.apply_left_in(&mut sub, scratch.as_mut_slice());
+                f.apply_left_in(&mut sub, scratch);
             }
         }
         end = start;
     }
-    pool.release(scratch);
 }
 
 /// The dispatch-by-width rule: blocks no wider than [`SWEEP_GROUP`] — every
@@ -316,30 +306,10 @@ fn apply_narrow_run(
     );
 }
 
-/// The Figure-13 back transformation of `Q₁`: [`merge_q1_blocked_ws`]
-/// once, then the merged blocks applied panel-parallel by
-/// [`apply_blocks_panels`].
-///
-/// Numerically this matches [`apply_q1`] to merge accuracy, and it is
-/// bitwise-identical to *itself* at every `workers`.
-pub fn apply_q1_blocked_ws(
-    factors: &[(usize, WyPair)],
-    c: &mut Mat,
-    target_k: usize,
-    pool: &mut dyn WorkspacePool,
-    workers: usize,
-    panel_pools: &mut PanelPools,
-) {
-    let merged = merge_q1_blocked_ws(factors, target_k, pool);
-    apply_blocks_panels(&merged, c, workers, panel_pools);
-    release_blocks(merged, pool);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::sbr::band_reduce;
-    use crate::workspace::AllocPool;
     use tg_matrix::{gen, max_abs_diff};
 
     fn setup(n: usize, b: usize, seed: u64) -> Vec<(usize, WyPair)> {
@@ -347,16 +317,11 @@ mod tests {
         band_reduce(&mut a, b, 8).factors
     }
 
-    /// [`apply_q1_blocked_ws`] with fresh allocating pools.
+    /// `Q₁ C` through the Figure-13 path: merge once, apply panel-parallel.
     fn apply_blocked(factors: &[(usize, WyPair)], c: &mut Mat, target_k: usize, workers: usize) {
-        apply_q1_blocked_ws(
-            factors,
-            c,
-            target_k,
-            &mut AllocPool,
-            workers,
-            &mut PanelPools::new(),
-        );
+        let merged = merge_q1_blocked_ws(factors, target_k, &mut AllocPool);
+        apply_blocks_panels(&merged, c, workers, &mut PanelPools::new());
+        release_blocks(merged, &mut AllocPool);
     }
 
     #[test]
@@ -508,44 +473,5 @@ mod tests {
             }
             release_blocks(blocks, &mut AllocPool);
         }
-    }
-
-    #[test]
-    fn panel_pools_reach_steady_state_hit_rate() {
-        let n = 36;
-        let factors = setup(n, 3, 7);
-        let c0 = gen::random(n, 2 * PANEL_COLS, 70);
-        let mut pools = PanelPools::new();
-        let mut pool = AllocPool;
-        // Single worker: the panel→pool mapping is deterministic, so the
-        // steady-state claim is exact (the parallel mapping only shifts
-        // which worker's pool warms up, not whether the loop allocates).
-        let mut c = c0.clone();
-        apply_q1_blocked_ws(&factors, &mut c, 8, &mut pool, 1, &mut pools);
-        // …after which the panel loop allocates nothing.
-        let before_misses = pools.stats().misses;
-        let mut c = c0.clone();
-        apply_q1_blocked_ws(&factors, &mut c, 8, &mut pool, 1, &mut pools);
-        let after_misses = pools.stats().misses;
-        assert_eq!(
-            before_misses, after_misses,
-            "steady state must not allocate"
-        );
-        assert!(pools.stats().hit_rate() > 0.0);
-
-        // The same over a Q₂ block list: the narrow runs' row-major scratch
-        // is pooled too (ragged last panel included).
-        let (blocks, _) = q1_q2_blocks(n, 3, 6, 8);
-        let c0 = gen::random(n, PANEL_COLS + 5, 71);
-        apply_blocks_panels(&blocks, &mut c0.clone(), 1, &mut pools);
-        let before = pools.stats();
-        apply_blocks_panels(&blocks, &mut c0.clone(), 1, &mut pools);
-        let after = pools.stats();
-        assert_eq!(
-            before.misses, after.misses,
-            "steady state must not allocate"
-        );
-        assert!(after.hits > before.hits);
-        release_blocks(blocks, &mut AllocPool);
     }
 }

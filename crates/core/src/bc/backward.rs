@@ -25,7 +25,7 @@
 //! so with `G ≤ b` the performed work stays below twice the useful work.
 
 use super::{BcReflector, BcResult};
-use crate::workspace::WorkspacePool;
+use crate::AllocPool;
 use tg_householder::wblock::WyPair;
 
 /// Sweeps per grouped block, before the clamp to the bandwidth `b`.
@@ -48,7 +48,7 @@ impl BcResult {
     /// panel-parallel back transformation can share the blocks read-only
     /// across column panels. Release with
     /// [`crate::backtransform::release_blocks`].
-    pub fn sweep_blocks_ws(&self, pool: &mut dyn WorkspacePool) -> Vec<(usize, WyPair)> {
+    pub fn sweep_blocks_ws(&self, pool: &mut AllocPool) -> Vec<(usize, WyPair)> {
         let _span = tg_trace::span_cat(
             "backtransform.sweep_blocks",
             "stage",
@@ -75,7 +75,7 @@ fn task_block(
     sweeps: &[Vec<BcReflector>],
     t: usize,
     b: usize,
-    pool: &mut dyn WorkspacePool,
+    pool: &mut AllocPool,
 ) -> Option<(usize, WyPair)> {
     let base = sweeps[0][0].row0 + t * b;
     let active: Vec<&BcReflector> = sweeps
@@ -125,7 +125,7 @@ mod tests {
         apply_blocks_panels, apply_blocks_panels_with_kernel, apply_q1, release_blocks, PanelPools,
     };
     use crate::bc::{bulge_chase_seq, BcResult};
-    use crate::workspace::AllocPool;
+    use crate::AllocPool;
     use tg_matrix::{gen, max_abs_diff, Mat, SymBand};
 
     fn setup(n: usize, b: usize, seed: u64) -> BcResult {

@@ -16,7 +16,7 @@
 //! implement it.
 
 use crate::sbr::BandReduction;
-use crate::workspace::{AllocPool, WorkspacePool};
+use crate::AllocPool;
 use tg_blas::level3::{symm_lower_ws, SYMM_NB};
 use tg_blas::threads::{run_tasks, Spans};
 use tg_blas::{gemm, syr2k_diag, syr2k_square, syr2k_square_head, Op};
@@ -113,13 +113,10 @@ pub fn dbbr(a: &mut Mat, cfg: &DbbrConfig) -> BandReduction {
     dbbr_ws(a, cfg, &mut AllocPool)
 }
 
-/// Like [`dbbr`] but draws every scratch matrix (the accumulated `(Z, Y)`
-/// pair, the per-panel `S` products and the kernels' mirror scratch) from
-/// `pool` instead of allocating. With any
-/// conforming pool (see [`WorkspacePool`]) the output is bitwise-identical
-/// to [`dbbr`]; a [`crate::CachingPool`] makes repeated same-shape
-/// reductions allocation-free after the first.
-pub fn dbbr_ws(a: &mut Mat, cfg: &DbbrConfig, pool: &mut dyn WorkspacePool) -> BandReduction {
+/// [`dbbr`] with every scratch matrix (the accumulated `(Z, Y)` pair, the
+/// per-panel `S` products and the kernels' mirror scratch) drawn from
+/// `pool`, which feeds the traced workspace high-water mark.
+pub fn dbbr_ws(a: &mut Mat, cfg: &DbbrConfig, pool: &mut AllocPool) -> BandReduction {
     let n = a.nrows();
     assert_eq!(a.ncols(), n);
     let _span = tg_trace::span_cat("reduce.dbbr", "stage", Some(("n", n as u64)));
@@ -513,51 +510,5 @@ mod tests {
                 .all(|e| e.arg == Some(("w", 0))),
             "look-ahead spawned a lane inside a region"
         );
-    }
-
-    /// Look-ahead through a recycling pool stays bitwise-identical and
-    /// still hits the pool on the second pass.
-    #[test]
-    fn lookahead_ws_bitwise_matches_serial_through_pool() {
-        let n = 44;
-        let mut serial_cfg = DbbrConfig::new(4, 8);
-        serial_cfg.nb_syr2k = 4;
-        serial_cfg.lookahead = false;
-        let mut la_cfg = serial_cfg.clone();
-        la_cfg.lookahead = true;
-        let a0 = gen::random_symmetric(n, 35);
-        let reference = dbbr(&mut a0.clone(), &serial_cfg);
-        let mut pool = crate::CachingPool::new();
-        for pass in 0..2 {
-            let red = dbbr_ws(&mut a0.clone(), &la_cfg, &mut pool);
-            assert_eq!(red.band, reference.band, "band differs on pass {pass}");
-            for ((o1, f1), (o2, f2)) in red.factors.iter().zip(&reference.factors) {
-                assert_eq!(o1, o2);
-                assert_eq!(f1.w, f2.w, "W differs on pass {pass}");
-                assert_eq!(f1.y, f2.y, "Y differs on pass {pass}");
-            }
-        }
-        assert!(pool.stats().hits > 0, "second pass never hit the pool");
-    }
-
-    #[test]
-    fn dbbr_ws_bitwise_matches_dbbr() {
-        let n = 30;
-        let cfg = DbbrConfig::new(3, 6);
-        let a0 = gen::random_symmetric(n, 17);
-        let reference = dbbr(&mut a0.clone(), &cfg);
-        let mut pool = crate::CachingPool::new();
-        // run twice through the same pool: the second pass reuses buffers
-        for pass in 0..2 {
-            let red = dbbr_ws(&mut a0.clone(), &cfg, &mut pool);
-            assert_eq!(red.band, reference.band, "band differs on pass {pass}");
-            assert_eq!(red.factors.len(), reference.factors.len());
-            for ((o1, f1), (o2, f2)) in red.factors.iter().zip(&reference.factors) {
-                assert_eq!(o1, o2);
-                assert_eq!(f1.w, f2.w, "W differs on pass {pass}");
-                assert_eq!(f1.y, f2.y, "Y differs on pass {pass}");
-            }
-        }
-        assert!(pool.stats().hits > 0, "second pass never hit the pool");
     }
 }

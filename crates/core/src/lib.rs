@@ -13,9 +13,13 @@
 //!   flags,
 //! * [`backtransform`] — assembling `Q` from both stages: conventional
 //!   `ormqr` order (the baseline and tolerance oracle) and the Figure-13
-//!   blocked-`W` scheme, one pooled panel-parallel implementation (see
+//!   blocked-`W` scheme, one panel-parallel implementation (see
 //!   `docs/PERFORMANCE.md`),
 //! * [`two_stage`] — end-to-end drivers combining the above.
+//!
+//! Scratch comes from [`AllocPool`]: every workspace is a fresh zeroed
+//! allocation. A recycling pool measured no faster on any workload and is
+//! gone (`docs/BATCHING.md`).
 
 pub mod backtransform;
 pub mod bc;
@@ -23,12 +27,11 @@ pub mod dbbr;
 pub mod sbr;
 pub mod sytrd;
 pub mod two_stage;
-pub mod workspace;
 
 pub use backtransform::{PanelPools, PANEL_COLS};
 pub use bc::{bulge_chase_pipelined, bulge_chase_seq, BcResult};
 pub use dbbr::{dbbr, dbbr_ws, DbbrConfig, DbbrConfigError};
 pub use sbr::{band_reduce, BandReduction};
 pub use sytrd::{sytrd_blocked, sytrd_unblocked, SytrdResult};
-pub use two_stage::{tridiagonalize, tridiagonalize_ws, Method, TridiagResult};
-pub use workspace::{AllocPool, CachingPool, PoolStats, ShapeClass, WorkspacePool};
+pub use tg_householder::pool::AllocPool;
+pub use two_stage::{tridiagonalize, Method, ShapeClass, TridiagResult};

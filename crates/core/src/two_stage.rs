@@ -15,9 +15,21 @@ use crate::bc::{bulge_chase_pipelined, bulge_chase_seq, BcResult};
 use crate::dbbr::{dbbr_ws, DbbrConfig};
 use crate::sbr::band_reduce;
 use crate::sytrd::{sytrd_blocked, SytrdResult};
-use crate::workspace::{AllocPool, ShapeClass, WorkspacePool};
+use crate::AllocPool;
 use tg_householder::wblock::WyPair;
 use tg_matrix::{Mat, Tridiagonal};
+
+/// Shape class `(n, b, k)` of one solve: the shape part of the serve
+/// result cache's key (`tg_eigen::EvdMethod::shape_class`).
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub struct ShapeClass {
+    /// Matrix dimension.
+    pub n: usize,
+    /// Bandwidth (panel width `nb` for the direct method).
+    pub b: usize,
+    /// `syr2k` accumulation width (0 for single-blocking methods).
+    pub k: usize,
+}
 
 /// Tridiagonalization algorithm selector.
 #[derive(Clone, Debug)]
@@ -46,20 +58,6 @@ impl Method {
         Method::Dbbr {
             cfg: DbbrConfig::new(b, k),
             parallel_sweeps: 4,
-        }
-    }
-
-    /// Shape class of an `n × n` problem reduced with this method: the key
-    /// under which a [`crate::CachingPool`] keeps its buffers warm.
-    pub fn shape_class(&self, n: usize) -> ShapeClass {
-        match self {
-            Method::Direct { nb } => ShapeClass { n, b: *nb, k: 0 },
-            Method::Sbr { b, .. } => ShapeClass { n, b: *b, k: 0 },
-            Method::Dbbr { cfg, .. } => ShapeClass {
-                n,
-                b: cfg.b,
-                k: cfg.k,
-            },
         }
     }
 }
@@ -111,42 +109,14 @@ impl TridiagResult {
 
     /// [`Self::apply_q`] through the blocked back transformations (Figure
     /// 13 made parallel): grouped Q₂ blocks ([`crate::bc::backward`]) and
-    /// merged Q₁ blocks, every temporary pool-backed, applied over column
-    /// panels drained by `tg_blas::threads::gemm_threads` fork-join lanes.
-    ///
-    /// The grouped Q₂ blocks and merged width-`target_k` Q₁ blocks are built
-    /// **once** from `pool`, shared read-only across all panels, and
-    /// released when the apply finishes. Panel boundaries are fixed
+    /// merged width-`target_k` Q₁ blocks, built **once**, shared read-only
+    /// across column panels drained by `workers` lanes, and released when
+    /// the apply finishes. Panel boundaries are fixed
     /// ([`crate::backtransform::PANEL_COLS`]), so the result is
-    /// bitwise-identical at every thread count; see
-    /// [`crate::backtransform::apply_blocks_panels`].
-    pub fn apply_q_blocked_ws(&self, c: &mut Mat, target_k: usize, pool: &mut dyn WorkspacePool) {
-        // `gemm_threads` is the fan-out budget *right now*: the full
-        // `worker_threads` normally, 1 when this apply already runs inside
-        // a parallel region (a batch-scheduler worker) — the same nested-
-        // fan-out guard the BLAS kernels use. The worker count never
-        // changes the result (fixed panel boundaries), only the schedule.
-        self.apply_q_blocked_ws_with(
-            c,
-            target_k,
-            pool,
-            tg_blas::threads::gemm_threads(),
-            &mut PanelPools::new(),
-        );
-    }
-
-    /// [`Self::apply_q_blocked_ws`] with an explicit worker count and
-    /// reusable per-worker panel pools — the entry point for the bench
-    /// sweep and the determinism tests, which vary `workers` without
-    /// touching `TG_THREADS`.
-    pub fn apply_q_blocked_ws_with(
-        &self,
-        c: &mut Mat,
-        target_k: usize,
-        pool: &mut dyn WorkspacePool,
-        workers: usize,
-        panel_pools: &mut PanelPools,
-    ) {
+    /// bitwise-identical for every `workers`; see
+    /// [`crate::backtransform::apply_blocks_panels`]. The one-stage
+    /// pipeline has no `W` factors and takes [`Self::apply_q`].
+    pub fn apply_q_blocked(&self, c: &mut Mat, target_k: usize, workers: usize) {
         match &self.q {
             QFactors::Direct(_) => self.apply_q(c),
             QFactors::TwoStage { factors, bc } => {
@@ -155,10 +125,11 @@ impl TridiagResult {
                 // Build the full ordered product Q = Q₁ Q₂ as one block
                 // list (Q₁'s merged blocks first — product order), so a
                 // single panel pass applies both stages.
-                let mut blocks = merge_q1_blocked_ws(factors, target_k, pool);
-                blocks.extend(bc.sweep_blocks_ws(pool));
-                apply_blocks_panels(&blocks, c, workers, panel_pools);
-                release_blocks(blocks, pool);
+                let mut pool = AllocPool;
+                let mut blocks = merge_q1_blocked_ws(factors, target_k, &mut pool);
+                blocks.extend(bc.sweep_blocks_ws(&mut pool));
+                apply_blocks_panels(&blocks, c, workers, &mut PanelPools::new());
+                release_blocks(blocks, &mut pool);
             }
         }
     }
@@ -186,18 +157,6 @@ impl TridiagResult {
 /// assert!(similarity_residual(&a, &q, &red.tri.to_dense()) < 1e-11);
 /// ```
 pub fn tridiagonalize(a: &mut Mat, method: &Method) -> TridiagResult {
-    tridiagonalize_ws(a, method, &mut AllocPool)
-}
-
-/// Like [`tridiagonalize`] but draws the reduction's scratch matrices from
-/// `pool` (see [`crate::workspace`]). The DBBR pipelines route their
-/// per-panel and accumulated `(Z, Y)` buffers through the pool; output is
-/// bitwise-identical to [`tridiagonalize`] for any conforming pool.
-pub fn tridiagonalize_ws(
-    a: &mut Mat,
-    method: &Method,
-    pool: &mut dyn WorkspacePool,
-) -> TridiagResult {
     let n = a.nrows();
     assert_eq!(a.ncols(), n);
     // The deep tg-check invariants (orthogonality, similarity) need the
@@ -234,7 +193,7 @@ pub fn tridiagonalize_ws(
             cfg,
             parallel_sweeps,
         } => {
-            let mut red = dbbr_ws(a, cfg, pool);
+            let mut red = dbbr_ws(a, cfg, &mut AllocPool);
             tg_check::fault::inject_band("stage1.band", &mut red.band);
             tg_check::stage_band(&red.band, cfg.b);
             let bc = bulge_chase_pipelined(&red.band, (*parallel_sweeps).max(1));
@@ -275,19 +234,6 @@ mod tests {
         let t = res.tri.to_dense();
         let r = similarity_residual(&a0, &q, &t);
         assert!(r < 1e-11, "{method:?}: A ≠ Q T Qᵀ ({r})");
-    }
-
-    #[test]
-    fn shape_class_mapping() {
-        let m = Method::Dbbr {
-            cfg: DbbrConfig::new(4, 16),
-            parallel_sweeps: 2,
-        };
-        assert_eq!(m.shape_class(32), ShapeClass { n: 32, b: 4, k: 16 });
-        assert_eq!(
-            Method::Direct { nb: 8 }.shape_class(32),
-            ShapeClass { n: 32, b: 8, k: 0 }
-        );
     }
 
     #[test]
@@ -358,7 +304,7 @@ mod tests {
     }
 
     #[test]
-    fn pooled_blocked_backtransform_agrees_and_is_worker_invariant() {
+    fn blocked_backtransform_agrees_and_is_worker_invariant() {
         let n = 40;
         let a0 = gen::random_symmetric(n, 22);
         let res = tridiagonalize(
@@ -373,7 +319,7 @@ mod tests {
         res.apply_q(&mut reference);
 
         let mut serial = c0.clone();
-        res.apply_q_blocked_ws_with(&mut serial, 12, &mut AllocPool, 1, &mut PanelPools::new());
+        res.apply_q_blocked(&mut serial, 12, 1);
         assert!(
             tg_matrix::max_abs_diff(&reference, &serial) < 1e-11,
             "{}",
@@ -381,13 +327,7 @@ mod tests {
         );
         for workers in [2usize, 4, 7] {
             let mut par = c0.clone();
-            res.apply_q_blocked_ws_with(
-                &mut par,
-                12,
-                &mut AllocPool,
-                workers,
-                &mut PanelPools::new(),
-            );
+            res.apply_q_blocked(&mut par, 12, workers);
             assert_eq!(serial, par, "workers = {workers}");
         }
     }

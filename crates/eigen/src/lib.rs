@@ -27,13 +27,16 @@ pub use bisect::eigenvalues_by_index;
 pub use dc::stedc;
 pub use jacobi::jacobi_evd;
 pub use steqr::{steqr, sterf};
-pub use syevd::{default_backtransform_k, syevd, syevd_batched, syevd_ws, Evd, EvdMethod};
+pub use syevd::{default_backtransform_k, syevd, syevd_batched, Evd, EvdMethod};
 
 /// Errors from the iterative eigensolvers.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EigenError {
     /// The QL/QR iteration failed to converge for some eigenvalue.
     NoConvergence { index: usize },
+    /// The input's lower triangle holds a NaN or infinity at `(row, col)`
+    /// (the first one, scanning column by column).
+    NonFiniteInput { row: usize, col: usize },
 }
 
 impl std::fmt::Display for EigenError {
@@ -41,6 +44,9 @@ impl std::fmt::Display for EigenError {
         match self {
             EigenError::NoConvergence { index } => {
                 write!(f, "QL iteration failed to converge at eigenvalue {index}")
+            }
+            EigenError::NonFiniteInput { row, col } => {
+                write!(f, "input holds a non-finite value at ({row}, {col})")
             }
         }
     }

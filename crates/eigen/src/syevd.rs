@@ -14,7 +14,7 @@ use crate::dc::stedc;
 use crate::steqr::sterf;
 use crate::EigenError;
 use tg_matrix::Mat;
-use tridiag_core::{tridiagonalize_ws, AllocPool, DbbrConfig, Method, ShapeClass, WorkspacePool};
+use tridiag_core::{tridiagonalize, DbbrConfig, Method, ShapeClass};
 
 /// EVD pipeline selector.
 #[derive(Clone, Debug)]
@@ -92,8 +92,8 @@ impl EvdMethod {
         }
     }
 
-    /// Shape class of an `n × n` problem solved with this method (see
-    /// [`Method::shape_class`]).
+    /// Shape class of an `n × n` problem solved with this method: the shape
+    /// part of the serve result cache's key.
     pub fn shape_class(&self, n: usize) -> ShapeClass {
         match self {
             EvdMethod::CusolverLike { nb } => ShapeClass { n, b: *nb, k: 0 },
@@ -163,6 +163,10 @@ impl Evd {
 /// "eigenvalues only" mode, solved with QL instead of D&C just like
 /// `cusolverDnDsyevd` with `CUSOLVER_EIG_MODE_NOVECTOR`).
 ///
+/// A NaN or infinity in the lower triangle is rejected with
+/// [`EigenError::NonFiniteInput`] before any reduction; the strict upper
+/// triangle is never read.
+///
 /// ```
 /// use tg_eigen::{syevd, EvdMethod};
 /// use tg_matrix::gen;
@@ -176,24 +180,12 @@ impl Evd {
 /// assert!(evd.residual(&a) < 1e-11);
 /// ```
 pub fn syevd(a: &mut Mat, method: &EvdMethod, want_vectors: bool) -> Result<Evd, EigenError> {
-    syevd_ws(a, method, want_vectors, &mut AllocPool)
-}
-
-/// Like [`syevd`] but draws the reduction's scratch matrices from `pool`
-/// (see [`tridiag_core::workspace`]). The output is bitwise-identical to
-/// [`syevd`] for any conforming pool; `tg-batch` uses this to reuse
-/// workspaces across the problems of a batch.
-pub fn syevd_ws(
-    a: &mut Mat,
-    method: &EvdMethod,
-    want_vectors: bool,
-    pool: &mut dyn WorkspacePool,
-) -> Result<Evd, EigenError> {
     let n = a.nrows();
+    check_finite_lower(a)?;
     let _evd = tg_trace::span_cat("evd", "stage", Some(("n", n as u64)));
     let res = {
         let _span = tg_trace::span("evd.reduce");
-        tridiagonalize_ws(a, &method.to_tridiag_method(), pool)
+        tridiagonalize(a, &method.to_tridiag_method())
     };
     if !want_vectors {
         let _span = tg_trace::span("evd.solve");
@@ -215,12 +207,13 @@ pub fn syevd_ws(
     {
         let _span = tg_trace::span("evd.backtransform");
         match method {
-            // The production path: merge once with pool-backed scratch,
-            // then apply panel-parallel (bitwise-identical at every thread
-            // count; see `tridiag_core::backtransform`).
+            // The production path: merge once, then apply panel-parallel
+            // (bitwise-identical at every thread count; see
+            // `tridiag_core::backtransform`). `gemm_threads` is the fan-out
+            // budget right now: 1 inside a batch or serve worker.
             EvdMethod::Proposed {
                 backtransform_k, ..
-            } => res.apply_q_blocked_ws(&mut v, *backtransform_k, pool),
+            } => res.apply_q_blocked(&mut v, *backtransform_k, tg_blas::threads::gemm_threads()),
             _ => res.apply_q(&mut v),
         }
     }
@@ -232,6 +225,20 @@ pub fn syevd_ws(
         eigenvalues,
         eigenvectors: Some(v),
     })
+}
+
+/// The input gate: the first NaN or infinity of the lower triangle (the
+/// part every method reads), scanned column by column.
+fn check_finite_lower(a: &Mat) -> Result<(), EigenError> {
+    for col in 0..a.ncols().min(a.nrows()) {
+        if let Some(off) = a.col(col)[col..].iter().position(|x| !x.is_finite()) {
+            return Err(EigenError::NonFiniteInput {
+                row: col + off,
+                col,
+            });
+        }
+    }
+    Ok(())
 }
 
 /// Spectrum invariant hook: compares the solver's eigenvalues against an

@@ -8,12 +8,14 @@
 //! that overhead does arithmetic, so running problems one at a time leaves
 //! the device idle almost all the time.
 //!
-//! The batched execution that `tg-batch` mirrors on the CPU fixes this in
-//! two ways, and the model charges exactly those two effects:
+//! Batched execution fixes this in two ways, and the model charges
+//! exactly those two effects:
 //!
 //! 1. **Workspace reuse.** Each of the `w` workers (streams) allocates one
-//!    workspace set and recycles it across its problems (the arena), so
-//!    allocation cost scales with `w`, not with `count`.
+//!    device workspace set and reuses it across its problems, so
+//!    allocation cost scales with `w`, not with `count`. (On the CPU,
+//!    `tg-batch` allocates per problem: a host allocation does not
+//!    synchronize anything, and recycling measured no faster there.)
 //! 2. **Overlap.** Problems run concurrently on separate streams; fixed
 //!    sync latencies overlap, and compute overlaps until the aggregate
 //!    working set saturates the device ([`concurrency`]). Only the
@@ -49,24 +51,13 @@ pub const LAUNCHES_FIXED: f64 = 200.0;
 /// `syr2k` curves reach their plateau.
 pub const BATCH_SATURATION_N: usize = 4096;
 
-/// Distinct workspace-buffer acquisitions for one two-stage reduction with
-/// bandwidth `b` and accumulation width `k` — the same sequence
-/// `tg-batch`'s arena serves: per `k`-block the two accumulators, plus
-/// three panel buffers (`u`, `znew`, `ynew`) per panel.
+/// Distinct workspace-buffer allocations for one two-stage reduction with
+/// bandwidth `b` and accumulation width `k`: per `k`-block the two
+/// accumulators, plus three panel buffers (`u`, `znew`, `ynew`) per panel.
 pub fn workspace_buffers(n: usize, b: usize, k: usize) -> usize {
     let blocks = n.div_ceil(k.max(1)).max(1);
     let panels = n.div_ceil(b.max(1)).max(1);
     2 * blocks + 3 * panels
-}
-
-/// Arena hit rate the model predicts for a uniform-shape batch: each of
-/// the `min(workers, count)` arenas takes its misses on its first problem
-/// only, so `hits / total = (count − workers) / count`.
-pub fn predicted_hit_rate(count: usize, workers: usize) -> f64 {
-    if count == 0 {
-        return 0.0;
-    }
-    (count.saturating_sub(workers.max(1).min(count))) as f64 / count as f64
 }
 
 /// Effective stream concurrency for `workers` streams of `n`-sized
@@ -79,8 +70,8 @@ pub fn concurrency(dev: &Device, workers: usize, n: usize) -> usize {
     workers.max(1).min(fit)
 }
 
-/// Workspace allocation time for one worker's arena (paid once per worker
-/// in the batched path, once per problem in the serial loop).
+/// Workspace allocation time for one worker's workspace set (paid once per
+/// worker in the batched path, once per problem in the serial loop).
 pub fn alloc_time(n: usize, b: usize, k: usize) -> f64 {
     workspace_buffers(n, b, k) as f64 * ALLOC_PER_BUFFER_S
 }
@@ -103,8 +94,8 @@ pub fn evd_serial_loop_time(dev: &Device, n: usize, count: usize, vectors: bool)
     count as f64 * (alloc_time(n, b, k) + issue_time(n, b) + compose::evd_ours(dev, n, vectors))
 }
 
-/// Modeled wall time for the batched path: `workers` streams, one cached
-/// workspace arena each, execution overlapped up to [`concurrency`].
+/// Modeled wall time for the batched path: `workers` streams, one reused
+/// workspace set each, execution overlapped up to [`concurrency`].
 pub fn evd_batch_time(dev: &Device, n: usize, count: usize, workers: usize, vectors: bool) -> f64 {
     if count == 0 {
         return 0.0;
@@ -112,7 +103,7 @@ pub fn evd_batch_time(dev: &Device, n: usize, count: usize, workers: usize, vect
     let (b, k) = shape_defaults(n);
     let w = workers.max(1).min(count);
     let c = concurrency(dev, w, n) as f64;
-    w as f64 * alloc_time(n, b, k)                       // one arena per worker
+    w as f64 * alloc_time(n, b, k)                       // one workspace set per worker
         + count as f64 * issue_time(n, b)                // serial host issue
         + count as f64 * compose::evd_ours(dev, n, vectors) / c // overlapped execution
 }
@@ -128,8 +119,6 @@ pub struct BatchPoint {
     pub serial_s: f64,
     /// Modeled batched seconds.
     pub batched_s: f64,
-    /// Predicted arena hit rate for this configuration.
-    pub hit_rate: f64,
 }
 
 impl BatchPoint {
@@ -159,7 +148,6 @@ pub fn batch_scaling(
             workers: w,
             serial_s,
             batched_s: evd_batch_time(dev, n, count, w, vectors),
-            hit_rate: predicted_hit_rate(count, w),
         })
         .collect()
 }
@@ -193,7 +181,7 @@ mod tests {
                 "speedup dropped: {pair:?}"
             );
         }
-        // one worker with an arena still beats per-problem reallocation,
+        // one worker reusing its workspace still beats per-problem reallocation,
         // but only barely — overlap is where the real win is
         assert!(pts[0].speedup() >= 1.0);
         assert!(pts[0].speedup() < 1.5);
@@ -208,17 +196,6 @@ mod tests {
         assert!(concurrency(&dev, 16, 256) >= 8);
         // worker cap still applies
         assert_eq!(concurrency(&dev, 2, 256), 2);
-    }
-
-    #[test]
-    fn predicted_hit_rate_matches_arena_arithmetic() {
-        assert_eq!(predicted_hit_rate(64, 1), 63.0 / 64.0);
-        assert_eq!(predicted_hit_rate(64, 8), 56.0 / 64.0);
-        assert_eq!(predicted_hit_rate(4, 8), 0.0);
-        assert_eq!(predicted_hit_rate(0, 4), 0.0);
-        // uniform 64-batch on one worker predicts > 90% — the acceptance
-        // threshold the real arena is held to in tg-batch's tests
-        assert!(predicted_hit_rate(64, 1) > 0.9);
     }
 
     #[test]

@@ -157,13 +157,9 @@ pub fn check_gemm(m: usize, n: usize, k: usize) -> Vec<ModelRow> {
 
 /// Runs the *real* `tg-batch` scheduler over `count` identical `n × n`
 /// problems (identical inputs make the data-dependent QL iteration counts
-/// equal) and checks two batch-model invariants against the trace:
-///
-/// * counted batch FLOPs = `count ×` single-problem FLOPs — batching must
-///   not change the arithmetic, only its schedule;
-/// * arena hits = `(count − 1)/count` of all workspace requests — the
-///   [`crate::batch::predicted_hit_rate`] arithmetic, exact for a
-///   uniform-shape batch on one worker.
+/// equal) and checks the batch-model invariant against the trace: counted
+/// batch FLOPs = `count ×` single-problem FLOPs — batching must not change
+/// the arithmetic, only its schedule.
 pub fn check_batched_evd(n: usize, count: usize) -> Vec<ModelRow> {
     use tg_batch::BatchScheduler;
     use tg_eigen::{syevd, EvdMethod};
@@ -180,27 +176,15 @@ pub fn check_batched_evd(n: usize, count: usize) -> Vec<ModelRow> {
     let tb = measure(|| {
         let _ = BatchScheduler::new(1).syevd(&problems, &method, false);
     });
-    let hits = tb.total(Counter::ArenaHit) as f64;
-    let misses = tb.total(Counter::ArenaMiss) as f64;
 
-    vec![
-        ModelRow {
-            kernel: "batched_evd",
-            shape: (n, count, 0),
-            quantity: "flops",
-            measured: tb.total(Counter::Flops) as f64,
-            modeled: count as f64 * single_flops,
-            tol: TOLERANCE,
-        },
-        ModelRow {
-            kernel: "batched_evd",
-            shape: (n, count, 0),
-            quantity: "arena_hits",
-            measured: hits,
-            modeled: crate::batch::predicted_hit_rate(count, 1) * (hits + misses),
-            tol: TOLERANCE,
-        },
-    ]
+    vec![ModelRow {
+        kernel: "batched_evd",
+        shape: (n, count, 0),
+        quantity: "flops",
+        measured: tb.total(Counter::Flops) as f64,
+        modeled: count as f64 * single_flops,
+        tol: TOLERANCE,
+    }]
 }
 
 /// Tolerated relative disagreement between the trace-derived average
@@ -642,7 +626,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn batched_evd_flops_and_hits_match_model() {
+    fn batched_evd_flops_match_model() {
         for r in check_batched_evd(32, 5) {
             assert!(
                 r.within_tolerance(),

@@ -10,9 +10,8 @@
 //!   updates (Equation 1 of the paper),
 //! * [`wblock`] — `W`-matrix accumulation: the paper's recursive
 //!   Algorithm 3 and the pool-backed batched merge of Figure 13,
-//! * [`pool`] — the [`WorkspacePool`] scratch-injection trait consumed by
-//!   the `_ws` kernels here and upstack, and its allocating
-//!   [`AllocPool`] (both re-exported by `tridiag_core`).
+//! * [`pool`] — [`AllocPool`], the zeroed workspace the `_ws` kernels here
+//!   and upstack draw their scratch from (re-exported by `tridiag_core`).
 
 pub mod panel;
 pub mod pool;
@@ -22,6 +21,6 @@ pub mod wy;
 pub mod zy;
 
 pub use panel::{panel_qr, PanelQr};
-pub use pool::{AllocPool, WorkspacePool};
+pub use pool::AllocPool;
 pub use reflector::{apply_left, apply_right, apply_two_sided_lower, make_reflector, Reflector};
 pub use wy::WyBlock;

@@ -1,50 +1,48 @@
-//! The workspace-pool trait used by every `_ws` kernel variant, and
-//! [`AllocPool`], its trivial implementation.
+//! [`AllocPool`], the workspace every `_ws` kernel draws its scratch from.
 //!
-//! It lives in this crate, the lowest one whose kernels take pooled
-//! scratch: the [`crate::wblock`] merge kernel draws its `S` scratch and
-//! merged `W`/`Y` storage from it. `tridiag_core` re-exports both next to
-//! its recycling implementation, `CachingPool`.
+//! It lives in this crate, the lowest one whose kernels take workspace:
+//! the [`crate::wblock`] merge kernel draws its `S` scratch and merged
+//! `W`/`Y` storage from it. `tridiag_core` re-exports it.
 //!
-//! **Determinism contract:** a pool must return buffers that are
-//! *bitwise-zero*, exactly like `Mat::zeros`. Under that contract the
-//! workspace-taking kernels perform the identical floating-point
-//! operations whichever pool is used, so their outputs are
-//! bitwise-identical across pools.
+//! Every acquire is a fresh `Mat::zeros` and every release a drop, so a
+//! `_ws` kernel performs exactly the floating-point operations of its
+//! allocating form. A recycling pool was measured against it on the batch,
+//! serve and back-transform paths and bought nothing outside run-to-run
+//! noise (EXPERIMENTS.md), so there is only this one.
 
 use tg_matrix::Mat;
 use tg_trace::Counter;
 
-/// Supplies zeroed scratch matrices and accepts them back for reuse.
-///
-/// Implementations must return buffers indistinguishable from
-/// `Mat::zeros(rows, cols)`; everything else (caching policy, accounting,
-/// debug poisoning) is up to the pool.
-pub trait WorkspacePool {
-    /// Returns a zero-filled `rows × cols` matrix.
-    fn acquire(&mut self, rows: usize, cols: usize) -> Mat;
-
-    /// Hands a no-longer-needed buffer back to the pool. The pool may
-    /// recycle or drop it; the contents are dead.
-    fn release(&mut self, m: Mat);
-}
-
-/// The trivial pool: every acquire is a fresh allocation, every release a
-/// drop. The allocating entry points upstack (`tridiag_core::dbbr`,
-/// `tridiag_core::tridiagonalize`, `tg_eigen::syevd`) are literally their
-/// `_ws` variants with this pool.
-#[derive(Default)]
+/// Hands out zeroed scratch matrices and takes them back. Both ends feed
+/// the [`Counter::ArenaLiveBytes`] gauge, which reports the workspace
+/// high-water mark of a traced run.
+#[derive(Debug, Default)]
 pub struct AllocPool;
 
-impl WorkspacePool for AllocPool {
-    fn acquire(&mut self, rows: usize, cols: usize) -> Mat {
-        // Feed the live-bytes gauge so the single-problem path reports the
-        // same workspace high-water mark the caching pools do.
+impl AllocPool {
+    /// Returns a zero-filled `rows × cols` matrix.
+    pub fn acquire(&mut self, rows: usize, cols: usize) -> Mat {
         tg_trace::gauge_add(Counter::ArenaLiveBytes, 8 * (rows * cols) as u64);
         Mat::zeros(rows, cols)
     }
 
-    fn release(&mut self, m: Mat) {
+    /// Takes back a no-longer-needed buffer (dropped; its contents are
+    /// dead).
+    pub fn release(&mut self, m: Mat) {
         tg_trace::gauge_sub(Counter::ArenaLiveBytes, 8 * (m.nrows() * m.ncols()) as u64);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn acquire_returns_zeros() {
+        let mut pool = AllocPool;
+        let m = pool.acquire(3, 5);
+        assert_eq!((m.nrows(), m.ncols()), (3, 5));
+        assert!(m.as_slice().iter().all(|&x| x.to_bits() == 0));
+        pool.release(m);
     }
 }

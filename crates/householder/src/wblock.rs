@@ -14,9 +14,8 @@
 //! * [`merge_to_width_ws`] is the **Figure 13** production scheme: merge
 //!   *levels* of pairs with batched GEMMs until each accumulated block
 //!   reaches a target width `k`, every temporary — the `S = Y₁ᵀW₂` merge
-//!   scratch, the concatenated wide `W`/`Y` storage — drawn from a
-//!   [`WorkspacePool`]. It is the only level-by-level merge: an allocating
-//!   caller passes [`crate::pool::AllocPool`].
+//!   scratch, the concatenated wide `W`/`Y` storage — drawn from an
+//!   [`AllocPool`]. It is the only level-by-level merge.
 //!
 //! [`WyPair::apply_left_in`] writes its `YᵀC` intermediate into
 //! caller-owned scratch. Every merge path also tallies its arithmetic
@@ -24,7 +23,7 @@
 //! [`tg_trace::Counter::MergeFlops`], which the gpu-sim model cross-check
 //! reconciles against the Algorithm-3 cost model.
 
-use crate::pool::WorkspacePool;
+use crate::pool::AllocPool;
 use tg_blas::batched::{gemm_batched, GemmJob};
 use tg_blas::{gemm, gemm_into, Op};
 use tg_matrix::{Mat, MatMut};
@@ -172,12 +171,11 @@ pub fn compute_w_recursive(pairs: &[WyPair]) -> WyPair {
 ///
 /// Every input pair's matrices **must** be pool-acquired: consumed pairs
 /// are released as they are merged away, and the returned wide pairs are
-/// pool-acquired for the caller to release. Under the pool's zero
-/// contract the merged factors are bitwise-identical for every pool.
+/// pool-acquired for the caller to release.
 pub fn merge_to_width_ws(
     mut pairs: Vec<WyPair>,
     target_k: usize,
-    pool: &mut dyn WorkspacePool,
+    pool: &mut AllocPool,
 ) -> Vec<WyPair> {
     assert!(!pairs.is_empty());
     while pairs.len() > 1 && pairs[0].width() < target_k {
@@ -273,7 +271,6 @@ pub fn merge_to_width_ws(
 mod tests {
     use super::*;
     use crate::panel::panel_qr;
-    use crate::pool::AllocPool;
     use std::sync::{Mutex, MutexGuard};
     use tg_matrix::{gen, max_abs_diff, orthogonality_residual, Mat};
 

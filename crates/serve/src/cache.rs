@@ -34,14 +34,14 @@
 //! fault fired, results containing non-finite values, solver errors, and
 //! panics — so nothing mid-retry can reach [`EvdCache::insert`].
 //! Fallback-path results are cacheable because the serial reference path
-//! is bitwise-identical to the pooled path by contract. A debug verify
+//! is the same `syevd` call the worker attempts make. A debug verify
 //! knob (`ServeConfig::verify_hits` / `TG_CACHE_VERIFY=1`) re-solves on
 //! every hit and asserts bitwise equality.
 //!
 //! # Storage
 //!
-//! A bounded LRU keyed by [`CacheKey`]: per-entry sizes use the workspace
-//! pool's byte math (stored `f64`s × 8, plus fixed bookkeeping), a byte budget
+//! A bounded LRU keyed by [`CacheKey`]: per-entry sizes count the stored
+//! `f64`s × 8, plus fixed bookkeeping, a byte budget
 //! caps the total, and insertion evicts least-recently-used entries until
 //! the new entry fits. An entry larger than the whole budget is never
 //! stored. Lookups and insertions both refresh recency.
@@ -58,8 +58,7 @@ use tridiag_core::ShapeClass;
 pub struct CacheKey {
     /// Digest of the input matrix (shape + every stored byte).
     pub digest: u64,
-    /// Shape class `(n, b, k)` — the same triple a worker's
-    /// [`tridiag_core::CachingPool`] keys its cache by.
+    /// Shape class `(n, b, k)` of the solve ([`EvdMethod::shape_class`]).
     pub class: ShapeClass,
     /// Method variant discriminant (parameters are folded into `digest`).
     pub method_tag: u8,
@@ -135,8 +134,8 @@ impl CacheKey {
     }
 }
 
-/// Bytes a stored result occupies, using the workspace pool's size math (stored
-/// `f64`s × 8) plus fixed per-entry bookkeeping (key, stamps, map slot).
+/// Bytes a stored result occupies: the stored `f64`s × 8 plus fixed
+/// per-entry bookkeeping (key, stamps, map slot).
 pub fn result_bytes(evd: &Evd) -> u64 {
     let values = evd.eigenvalues.len() as u64;
     let vectors = evd

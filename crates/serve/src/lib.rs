@@ -15,7 +15,7 @@
 //! * **retry with deterministic exponential backoff** on transient
 //!   failures (injected faults, non-finite results, solver errors,
 //!   panics), falling back to the serial reference path when the
-//!   pooled attempts are exhausted;
+//!   worker attempts are exhausted;
 //! * a **content-addressed result cache** ([`EvdCache`]): submissions
 //!   whose matrix bytes and solve configuration hash to a stored clean
 //!   result are answered at admission without a worker solve — sound

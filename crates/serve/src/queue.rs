@@ -145,7 +145,7 @@ impl<T> BoundedQueue<T> {
 pub struct Ledger {
     /// Jobs offered to the service (admitted, deduplicated, or shed).
     pub submitted: u64,
-    /// Jobs whose result was computed by a worker (arena path or serial
+    /// Jobs whose result was computed by a worker (worker attempt or serial
     /// fallback).
     pub completed: u64,
     /// Jobs that ended with a typed error (retries exhausted, deadline

@@ -9,8 +9,8 @@
 //! the bounded priority queue or *sheds* it with a typed
 //! [`SubmitError::Overloaded`] — admission never blocks, which is what
 //! keeps an open-loop overload survivable. Workers pull jobs in priority
-//! order (FIFO within a class) and run each through the same
-//! `syevd_ws`-on-a-per-worker-`CachingPool` path the batch scheduler uses.
+//! order (FIFO within a class) and run each through the same single-problem
+//! [`fn@tg_eigen::syevd`] path the batch scheduler uses.
 //!
 //! # Failure handling
 //!
@@ -19,21 +19,21 @@
 //! signal — see [`tg_check::fault::fired_on_this_thread`]), (b) the result
 //! contains non-finite values, (c) the solver returned an error, or (d)
 //! the attempt panicked. Transient failures are retried with deterministic
-//! exponential backoff after scrubbing the worker's pool (so a poisoned
-//! buffer cannot leak into the retry, and the live-byte accounting of an
-//! attempt that unwound is repaired). When the pooled attempts are
-//! exhausted the job falls back to the serial reference path (plain
-//! [`fn@tg_eigen::syevd`] on a fresh allocation pool); only if that also
+//! exponential backoff; every attempt recomputes from the pristine input
+//! with freshly allocated scratch, so nothing a failed attempt touched
+//! survives into the next. When the worker attempts are exhausted the job
+//! gets one last fallback attempt on the serial reference path (plain
+//! [`fn@tg_eigen::syevd`], traced as `serve.fallback`); only if that also
 //! fails does the job end as [`FailReason::Exhausted`].
 //!
 //! # Determinism contract
 //!
 //! A completed job's result is **bitwise-identical** to calling
-//! [`fn@tg_eigen::syevd`] directly on the same input: the pooled path carries
-//! the PR 2 workspace contract, the fallback *is* the direct path, and a
-//! retry recomputes from the pristine input matrix. Admission order,
-//! worker count, shedding, and retries decide *whether and when* a job
-//! completes — never what its result contains.
+//! [`fn@tg_eigen::syevd`] directly on the same input: the worker attempts
+//! and the fallback both *are* the direct path, and a retry recomputes from
+//! the pristine input matrix. Admission order, worker count, shedding, and
+//! retries decide *whether and when* a job completes — never what its
+//! result contains.
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -44,7 +44,6 @@ use std::time::{Duration, Instant};
 use tg_batch::CancelToken;
 use tg_blas::threads::ThreadsConfigError;
 use tg_eigen::{syevd, Evd};
-use tridiag_core::CachingPool;
 
 use crate::cache::{CacheKey, CacheStats, EvdCache};
 use crate::job::{FailReason, JobId, JobOutcome, JobSpec, JobStatus, StatusRow};
@@ -63,7 +62,7 @@ pub struct ServeConfig {
     pub queue_cap: usize,
     /// Deadline for jobs that don't carry their own.
     pub default_deadline: Duration,
-    /// Transient-failure retries per job on the pooled path (the
+    /// Transient-failure retries per job on the worker path (the
     /// job's first attempt is not a retry).
     pub max_retries: u32,
     /// Base backoff before retry `k` sleeps `base · 2^k`, clipped to the
@@ -166,7 +165,7 @@ impl std::error::Error for SubmitError {}
 pub struct ServiceStats {
     /// Conservation ledger snapshot.
     pub ledger: Ledger,
-    /// Attempt re-executions (pooled-path retries + fallback attempts).
+    /// Attempt re-executions (worker-path retries + fallback attempts).
     pub retries: u64,
     /// Jobs that ended via the serial-reference fallback.
     pub fallback_completions: u64,
@@ -615,11 +614,6 @@ fn worker_loop(shared: Arc<Shared>, widx: usize) {
     // contract). A single worker keeps intra-kernel parallelism.
     let _region_guard = (shared.workers > 1).then(tg_blas::threads::enter_parallel_region);
     let _ = widx;
-    // One pool per worker, kept across jobs so same-shape traffic reuses
-    // warm buffers (and so the `arena.acquire` fault site sees real cache
-    // hits). Failed attempts scrub it; the zeroing contract keeps results
-    // bitwise-independent of whatever ran before.
-    let mut pool = CachingPool::new();
     loop {
         let claimed = {
             let mut st = lock_state(&shared);
@@ -642,7 +636,7 @@ fn worker_loop(shared: Arc<Shared>, widx: usize) {
                 // this worker then runs directly (it was never queued).
                 let mut next = Some(id);
                 while let Some(id) = next {
-                    next = process_job(&shared, id, &mut pool);
+                    next = process_job(&shared, id);
                 }
             }
             None => return,
@@ -718,7 +712,7 @@ where
 /// Runs one job to a terminal state. Returns the id of a follower
 /// promoted by a failing leader, which the calling worker must run next
 /// (promoted followers are never in the queue).
-fn process_job(shared: &Shared, id: JobId, pool: &mut CachingPool) -> Option<JobId> {
+fn process_job(shared: &Shared, id: JobId) -> Option<JobId> {
     // Claim the slot: record queue wait, honour cancel/deadline that
     // arrived while queued, and pull what the attempts need.
     let (spec, cancel, submitted_at, deadline) = {
@@ -761,13 +755,11 @@ fn process_job(shared: &Shared, id: JobId, pool: &mut CachingPool) -> Option<Job
     let region = tg_trace::RegionId::fresh();
     let _task = tg_trace::span_region("serve.job", "task", Some(("job", id)), region);
     let hard_deadline = submitted_at + deadline;
-    let n = spec.matrix.nrows();
-    let class = spec.method.shape_class(n);
 
     let mut attempts: u32 = 0;
     let mut last_error: Option<AttemptError> = None;
 
-    // Pooled attempts: 1 + max_retries.
+    // Worker attempts: 1 + max_retries.
     while attempts < 1 + shared.max_retries {
         if cancel.is_cancelled() {
             return fail_job(
@@ -804,23 +796,15 @@ fn process_job(shared: &Shared, id: JobId, pool: &mut CachingPool) -> Option<Job
             let _span =
                 tg_trace::span_cat("serve.attempt", "stage", Some(("attempt", attempts as u64)));
             classify(|| {
-                pool.begin_problem(class);
                 let mut a = spec.matrix.clone();
-                tg_eigen::syevd_ws(&mut a, &spec.method, spec.want_vectors, pool)
+                syevd(&mut a, &spec.method, spec.want_vectors)
             })
         };
         match outcome {
             Ok(evd) => return finish_completed(shared, id, attempts, evd, false),
-            Err(e) => {
-                // Nothing the failed attempt touched may survive into the
-                // next one: drop the cached (possibly fault-corrupted)
-                // buffers, and return the bytes of any buffer an unwound
-                // attempt dropped unreleased to the live-byte accounting.
-                // (And nothing reaches the result cache from here — only
-                // `finish_completed`, i.e. a clean attempt, inserts.)
-                pool.scrub();
-                last_error = Some(e);
-            }
+            // Nothing reaches the result cache from here — only
+            // `finish_completed`, i.e. a clean attempt, inserts.
+            Err(e) => last_error = Some(e),
         }
     }
 

@@ -259,7 +259,7 @@ fn cache_hits_are_bitwise_identical_to_fresh_solves() {
     }
 }
 
-/// `result_bytes` is exactly the arena math the budget reasoning assumes.
+/// `result_bytes` is exactly the byte math the budget reasoning assumes.
 #[test]
 fn result_bytes_matches_documented_formula() {
     let vals_only = evd_of(10, 0);

@@ -30,7 +30,7 @@ fn serve_cfg() -> ServeConfig {
 }
 
 /// A NaN injected into the eigenvalue output is detected (fired-fault
-/// delta + finiteness screen), retried after an arena scrub, and healed —
+/// delta + finiteness screen), retried from the pristine input, and healed —
 /// the final result is bitwise-identical to an uncorrupted direct solve.
 #[test]
 fn injected_nan_is_retried_to_a_bitwise_clean_result() {

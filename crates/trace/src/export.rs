@@ -192,8 +192,6 @@ impl Trace {
             Counter::BytesWritten,
             Counter::Sweeps,
             Counter::BulgeTasks,
-            Counter::ArenaHit,
-            Counter::ArenaMiss,
             Counter::ChecksRun,
             Counter::CheckFailures,
             Counter::FaultsInjected,
@@ -214,14 +212,6 @@ impl Trace {
         if peak != 0 {
             let _ = writeln!(out, "  peak {:<15} {peak}", Counter::ArenaLiveBytes.key());
         }
-        let hits = self.total(Counter::ArenaHit);
-        let misses = self.total(Counter::ArenaMiss);
-        let hit_rate = if hits + misses > 0 {
-            format!("{:.1}%", 100.0 * hits as f64 / (hits + misses) as f64)
-        } else {
-            "n/a".to_string()
-        };
-        let _ = writeln!(out, "  arena hit rate       {hit_rate}");
         out
     }
 }
@@ -389,7 +379,6 @@ mod tests {
         let table = empty.profile_table();
         assert!(table.contains("n/a"), "{table}");
         assert!(!table.contains("NaN"), "{table}");
-        assert!(table.contains("arena hit rate       n/a"), "{table}");
     }
 
     #[test]

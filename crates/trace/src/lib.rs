@@ -54,10 +54,6 @@ pub enum Counter {
     Sweeps,
     /// Bulge-chasing tasks executed.
     BulgeTasks,
-    /// Workspace-arena buffer requests served from the cache.
-    ArenaHit,
-    /// Workspace-arena buffer requests that had to allocate.
-    ArenaMiss,
     /// Stage-invariant checks executed (`tg-check`).
     ChecksRun,
     /// Stage-invariant checks that found a violation (`tg-check`).
@@ -68,7 +64,7 @@ pub enum Counter {
     /// separate from [`Counter::BytesRead`]/[`Counter::BytesWritten`] so the
     /// analytic-model cross-check window is unaffected by packing traffic.
     PackBytes,
-    /// Workspace-arena live bytes. Unlike every other counter this is a
+    /// Workspace live bytes (`AllocPool`). Unlike every other counter this is a
     /// **gauge**: producers call [`gauge_add`]/[`gauge_sub`] as buffers are
     /// acquired and released, and the session total reports the *high-water
     /// mark* (peak simultaneous live bytes), not a sum. Never use [`add`]
@@ -99,7 +95,7 @@ pub enum Counter {
 }
 
 /// Number of [`Counter`] kinds (length of per-span counter arrays).
-pub const N_COUNTERS: usize = 19;
+pub const N_COUNTERS: usize = 17;
 
 impl Counter {
     pub const ALL: [Counter; N_COUNTERS] = [
@@ -108,8 +104,6 @@ impl Counter {
         Counter::BytesWritten,
         Counter::Sweeps,
         Counter::BulgeTasks,
-        Counter::ArenaHit,
-        Counter::ArenaMiss,
         Counter::ChecksRun,
         Counter::CheckFailures,
         Counter::FaultsInjected,
@@ -131,20 +125,18 @@ impl Counter {
             Counter::BytesWritten => 2,
             Counter::Sweeps => 3,
             Counter::BulgeTasks => 4,
-            Counter::ArenaHit => 5,
-            Counter::ArenaMiss => 6,
-            Counter::ChecksRun => 7,
-            Counter::CheckFailures => 8,
-            Counter::FaultsInjected => 9,
-            Counter::PackBytes => 10,
-            Counter::ArenaLiveBytes => 11,
-            Counter::JobsRetried => 12,
-            Counter::JobsShed => 13,
-            Counter::CacheHit => 14,
-            Counter::CacheMiss => 15,
-            Counter::CacheEvictedBytes => 16,
-            Counter::JobsCoalesced => 17,
-            Counter::MergeFlops => 18,
+            Counter::ChecksRun => 5,
+            Counter::CheckFailures => 6,
+            Counter::FaultsInjected => 7,
+            Counter::PackBytes => 8,
+            Counter::ArenaLiveBytes => 9,
+            Counter::JobsRetried => 10,
+            Counter::JobsShed => 11,
+            Counter::CacheHit => 12,
+            Counter::CacheMiss => 13,
+            Counter::CacheEvictedBytes => 14,
+            Counter::JobsCoalesced => 15,
+            Counter::MergeFlops => 16,
         }
     }
 
@@ -156,8 +148,6 @@ impl Counter {
             Counter::BytesWritten => "bytes_written",
             Counter::Sweeps => "sweeps",
             Counter::BulgeTasks => "bulge_tasks",
-            Counter::ArenaHit => "arena_hits",
-            Counter::ArenaMiss => "arena_misses",
             Counter::ChecksRun => "checks_run",
             Counter::CheckFailures => "check_failures",
             Counter::FaultsInjected => "faults_injected",

@@ -44,7 +44,7 @@
 //! | [`tridiag_core`] | SBR, DBBR (Algorithm 1), bulge chasing (Algorithm 2), back transformation |
 //! | [`tg_eigen`] | QL iteration, divide & conquer, `syevd` drivers |
 //! | [`tg_gpu_sim`] | device models, kernel cost models, pipeline + cache simulators, figure regenerators |
-//! | [`tg_batch`] | batched multi-problem EVD: worker-pool scheduler + cached workspace arenas |
+//! | [`tg_batch`] | batched multi-problem EVD: worker-pool scheduler |
 
 pub use tg_batch as batch;
 pub use tg_blas as blas;

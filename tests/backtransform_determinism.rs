@@ -5,14 +5,18 @@
 //! the same shared read-only block list in the same order, and workers
 //! only *claim* panels — they never split or reorder the arithmetic
 //! inside one. The result must therefore be **bitwise identical** across
-//! every worker count and every pool implementation. These tests hammer
+//! every worker count, and whatever a panel lane's scratch held before.
+//! These tests hammer
 //! that promise for both two-stage pipelines (SBR and DBBR) with
 //! `workers ∈ {1, 2, 4, 7}` (including a deliberately odd, non-divisor
 //! count) and repeated runs, and pin the blocked path to the conventional
 //! reflector-by-reflector apply within numerical tolerance.
 
-use tridiag_gpu::core::backtransform::{apply_blocks_panels, apply_q1, release_blocks};
-use tridiag_gpu::core::{AllocPool, CachingPool, PanelPools};
+use tridiag_gpu::core::backtransform::{
+    apply_blocks_panels, apply_q1, merge_q1_blocked_ws, release_blocks,
+};
+use tridiag_gpu::core::{AllocPool, BcResult, PanelPools};
+use tridiag_gpu::householder::wblock::WyPair;
 use tridiag_gpu::prelude::*;
 
 fn assert_mat_bitwise(a: &Mat, b: &Mat, ctx: &str) {
@@ -57,22 +61,20 @@ fn blocked_parallel_bitwise_matches_serial_across_worker_counts() {
         let c0 = gen::random(n, n, 12);
 
         let mut serial = c0.clone();
-        red.apply_q_blocked_ws_with(&mut serial, 16, &mut AllocPool, 1, &mut PanelPools::new());
+        red.apply_q_blocked(&mut serial, 16, 1);
 
         for &workers in &[2usize, 4, 7] {
-            let mut pools = PanelPools::new();
             let mut par = c0.clone();
-            red.apply_q_blocked_ws_with(&mut par, 16, &mut AllocPool, workers, &mut pools);
+            red.apply_q_blocked(&mut par, 16, workers);
             assert_mat_bitwise(
                 &serial,
                 &par,
                 &format!("{name} workers={workers} vs serial"),
             );
-            // repeats: different thread interleavings and warm panel
-            // pools, same bits
+            // repeats: different thread interleavings, same bits
             for rep in 0..2 {
                 let mut again = c0.clone();
-                red.apply_q_blocked_ws_with(&mut again, 16, &mut AllocPool, workers, &mut pools);
+                red.apply_q_blocked(&mut again, 16, workers);
                 assert_mat_bitwise(
                     &serial,
                     &again,
@@ -83,31 +85,49 @@ fn blocked_parallel_bitwise_matches_serial_across_worker_counts() {
     }
 }
 
+/// Stage 1 and bulge chasing of `method`, kept apart so a test can build
+/// the with-vectors block list itself: Q₁'s factors and Q₂'s reflectors.
+fn band_factors(a: &mut Mat, method: &Method) -> (Vec<(usize, WyPair)>, BcResult) {
+    let (factors, band, sweeps) = match method {
+        Method::Sbr { b, parallel_sweeps } => {
+            let red = band_reduce(a, *b, 32);
+            (red.factors, red.band, *parallel_sweeps)
+        }
+        Method::Dbbr {
+            cfg,
+            parallel_sweeps,
+        } => {
+            let red = dbbr(a, cfg);
+            (red.factors, red.band, *parallel_sweeps)
+        }
+        Method::Direct { .. } => panic!("one-stage method has no W factors"),
+    };
+    (factors, bulge_chase_pipelined(&band, sweeps))
+}
+
 #[test]
-fn caching_pool_is_bitwise_equal_to_alloc_pool() {
-    // PR-4 workspace contract: pool-acquired buffers are zeroed on reuse,
-    // so swapping the allocator never changes a single bit — even when
-    // the caching pool and panel pools are reused across applies.
-    let n = 48;
+fn reused_panel_pools_leak_no_bits_across_shapes() {
+    // One `PanelPools` serves n = 48, then 24 (shrink), then 56 (grow past
+    // the first size). Each lane's scratch is grow-only and zero-filled per
+    // panel, so every result must be bitwise equal to a fresh-pools run:
+    // no panel's scratch can leak bits into the next.
     for (name, method) in methods() {
-        let red = tridiagonalize(&mut gen::random_symmetric(n, 21), &method);
-        let c0 = gen::random(n, n, 22);
-
-        let mut reference = c0.clone();
-        red.apply_q_blocked_ws_with(
-            &mut reference,
-            16,
-            &mut AllocPool,
-            2,
-            &mut PanelPools::new(),
-        );
-
-        let mut cache = CachingPool::new();
         let mut pools = PanelPools::new();
-        for rep in 0..3 {
+        for (i, n) in [48usize, 24, 56].into_iter().enumerate() {
+            let mut a = gen::random_symmetric(n, 21 + i as u64);
+            let (factors, bc) = band_factors(&mut a, &method);
+            let c0 = gen::random(n, n, 22 + i as u64);
+            let run = |c: &mut Mat, pools: &mut PanelPools| {
+                let mut blocks = merge_q1_blocked_ws(&factors, 16, &mut AllocPool);
+                blocks.extend(bc.sweep_blocks_ws(&mut AllocPool));
+                apply_blocks_panels(&blocks, c, 2, pools);
+                release_blocks(blocks, &mut AllocPool);
+            };
+            let mut reference = c0.clone();
+            run(&mut reference, &mut PanelPools::new());
             let mut got = c0.clone();
-            red.apply_q_blocked_ws_with(&mut got, 16, &mut cache, 2, &mut pools);
-            assert_mat_bitwise(&reference, &got, &format!("{name} caching rep {rep}"));
+            run(&mut got, &mut pools);
+            assert_mat_bitwise(&reference, &got, &format!("{name} n={n} reused pools"));
         }
     }
 }
@@ -126,7 +146,7 @@ fn blocked_path_matches_conventional_apply_within_tolerance() {
         red.apply_q(&mut conventional);
 
         let mut blocked = c0.clone();
-        red.apply_q_blocked_ws_with(&mut blocked, 16, &mut AllocPool, 4, &mut PanelPools::new());
+        red.apply_q_blocked(&mut blocked, 16, 4);
 
         let mut max_diff = 0.0f64;
         for i in 0..n {
@@ -140,7 +160,7 @@ fn blocked_path_matches_conventional_apply_within_tolerance() {
 
 #[test]
 fn direct_method_falls_back_to_reflector_apply() {
-    // The one-stage pipeline has no W factors to merge; the pooled entry
+    // The one-stage pipeline has no W factors to merge; the blocked entry
     // point must degrade to the ormqr-style apply, bitwise.
     let n = 40;
     let red = tridiagonalize(&mut gen::random_symmetric(n, 41), &Method::Direct { nb: 8 });
@@ -150,7 +170,7 @@ fn direct_method_falls_back_to_reflector_apply() {
     red.apply_q(&mut conventional);
 
     let mut blocked = c0.clone();
-    red.apply_q_blocked_ws_with(&mut blocked, 16, &mut AllocPool, 4, &mut PanelPools::new());
+    red.apply_q_blocked(&mut blocked, 16, 4);
     assert_mat_bitwise(&conventional, &blocked, "direct fallback");
 }
 

@@ -129,7 +129,9 @@ fn band_storage_too_small_panics() {
 
 #[test]
 fn backtransform_width_one_factors() {
-    use tridiag_gpu::core::backtransform::{apply_q1, apply_q1_blocked_ws};
+    use tridiag_gpu::core::backtransform::{
+        apply_blocks_panels, apply_q1, merge_q1_blocked_ws, release_blocks,
+    };
     use tridiag_gpu::core::{AllocPool, PanelPools};
     // b = 1 band reduction: every WY factor has a single column
     let n = 14;
@@ -140,14 +142,9 @@ fn backtransform_width_one_factors() {
     let mut c1 = c0.clone();
     apply_q1(&red.factors, &mut c1, false);
     let mut c2 = c0.clone();
-    apply_q1_blocked_ws(
-        &red.factors,
-        &mut c2,
-        4,
-        &mut AllocPool,
-        1,
-        &mut PanelPools::new(),
-    );
+    let merged = merge_q1_blocked_ws(&red.factors, 4, &mut AllocPool);
+    apply_blocks_panels(&merged, &mut c2, 1, &mut PanelPools::new());
+    release_blocks(merged, &mut AllocPool);
     assert!(tridiag_gpu::matrix::max_abs_diff(&c1, &c2) < 1e-12);
 }
 

@@ -10,7 +10,7 @@ use tg_check::fault::{FaultKind, FaultPlan};
 use tg_check::{CheckConfig, CheckReport, CheckSession};
 use tg_eigen::{syevd, EvdMethod};
 use tg_matrix::gen;
-use tridiag_core::{tridiagonalize, CachingPool, DbbrConfig, Method, ShapeClass, WorkspacePool};
+use tridiag_core::{tridiagonalize, DbbrConfig, Method};
 
 /// Serializes the test that sets `TG_THREADS`, which is process-global.
 static ENV_LOCK: Mutex<()> = Mutex::new(());
@@ -114,23 +114,6 @@ fn orthogonality_checker_fires_on_corrupted_vectors() {
     let plan = FaultPlan::single("backtransform.q", FaultKind::SignFlip, 100);
     let report = run_evd(Some(plan), true);
     assert_caught(&report, "backtransform.q", "orthogonality");
-}
-
-#[test]
-fn workspace_checker_fires_on_skipped_scrub() {
-    let session = CheckSession::begin(CheckConfig::strict().with_faults(FaultPlan::single(
-        "arena.acquire",
-        FaultKind::SkipZero,
-        0,
-    )));
-    let mut arena = CachingPool::new();
-    arena.begin_problem(ShapeClass { n: 16, b: 4, k: 8 });
-    let mut m = arena.acquire(4, 4);
-    m.fill(2.0);
-    arena.release(m);
-    let _dirty = arena.acquire(4, 4);
-    let report = session.finish();
-    assert_caught(&report, "arena.acquire", "workspace_zero");
 }
 
 #[test]

@@ -218,3 +218,64 @@ fn bandwidth_sweep() {
         );
     }
 }
+
+/// Every pipeline, values and vectors: the cuSOLVER-like, MAGMA-like and
+/// proposed methods at `n`.
+fn every_method(n: usize) -> Vec<EvdMethod> {
+    vec![
+        EvdMethod::CusolverLike { nb: 8 },
+        EvdMethod::MagmaLike { b: 4 },
+        proposed(n),
+    ]
+}
+
+/// A NaN or infinity in the lower triangle (the part every method reads)
+/// is rejected at the gate with its position, before any reduction runs.
+#[test]
+fn non_finite_lower_triangle_is_rejected_with_its_position() {
+    let n = 20;
+    let base = gen::random_symmetric(n, 61);
+    for method in every_method(n) {
+        for want_vectors in [false, true] {
+            for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                for (row, col) in [(7, 7), (13, 4)] {
+                    let mut a = base.clone();
+                    a[(row, col)] = bad;
+                    let got = syevd(&mut a, &method, want_vectors).map(|_| ());
+                    assert_eq!(
+                        got,
+                        Err(tridiag_gpu::eigen::EigenError::NonFiniteInput { row, col }),
+                        "{method:?} vectors={want_vectors} {bad} at ({row}, {col})"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// The strict upper triangle is never read: a NaN there changes no bit of
+/// any method's eigenvalues or eigenvectors.
+#[test]
+fn nan_in_strict_upper_triangle_changes_no_bit() {
+    let n = 20;
+    let base = gen::random_symmetric(n, 62);
+    let mut dirty = base.clone();
+    dirty[(4, 13)] = f64::NAN;
+    for method in every_method(n) {
+        for want_vectors in [false, true] {
+            let clean = syevd(&mut base.clone(), &method, want_vectors).unwrap();
+            let got = syevd(&mut dirty.clone(), &method, want_vectors).unwrap();
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(&got.eigenvalues),
+                bits(&clean.eigenvalues),
+                "{method:?}"
+            );
+            assert_eq!(
+                got.eigenvectors.as_ref().map(|v| bits(v.as_slice())),
+                clean.eigenvectors.as_ref().map(|v| bits(v.as_slice())),
+                "{method:?} vectors={want_vectors}"
+            );
+        }
+    }
+}

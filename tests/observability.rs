@@ -246,7 +246,7 @@ fn worker_ids_are_stable_within_a_region() {
 fn disabled_tracing_records_no_timeline_and_no_gauges() {
     let _g = serial();
     // A full batch run with tracing disabled must leave nothing behind:
-    // no lanes, no regions, no arena high-water mark.
+    // no lanes, no regions, no workspace high-water mark.
     let problems: Vec<_> = (0..3).map(|s| gen::random_symmetric(24, 50 + s)).collect();
     let method = EvdMethod::proposed_default(24);
     let _ = tg_batch::BatchScheduler::new(2)
