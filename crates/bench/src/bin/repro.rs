@@ -8,23 +8,6 @@
 //! repro tune                # model-based (b, k) autotuning per size/device
 //! repro verify [n]          # correctness gauntlet + golden-corpus diff
 //! repro golden_regen        # recompute and write tests/golden/corpus.json
-//! repro fault_campaign [--serve]
-//!                           # fault-injection campaign (TG_FAULT_SEED);
-//!                           # --serve drives the faults through the job
-//!                           # service and demands retry-to-success or a
-//!                           # typed error within deadline
-//! repro serve_soak [--seconds s] [--n size] [--rate-mult x] [--trace-out path]
-//!                           # open-loop soak of the job service at
-//!                           # rate-mult x measured capacity (default 1.5x):
-//!                           # asserts shedding engages, zero jobs lost,
-//!                           # p99 in-deadline for admitted jobs
-//! repro cache_soak [--ci] [--seconds s] [--n size] [--pool p] [--zipf a] [--trace-out path]
-//!                           # zipf-shaped overload replayed twice — cache
-//!                           # off, then cache+dedup on: asserts hit rate
-//!                           # >= 50%, every result bitwise-identical to
-//!                           # the direct path, the extended conservation
-//!                           # ledger balances, and cache-on p99 strictly
-//!                           # beats cache-off
 //! repro roofline            # arithmetic-intensity placement of key kernels
 //! repro whatif              # hardware-scaling what-if scenarios
 //! repro fig10               # L2 cache-simulation hit rates (layout study)
@@ -80,22 +63,13 @@ fn main() {
             verify(n);
         }
         "golden_regen" => golden_regen(),
-        "fault_campaign" => {
-            if args[1..].iter().any(|a| a == "--serve") {
-                fault_campaign_serve();
-            } else {
-                fault_campaign();
-            }
-        }
-        "serve_soak" => serve_soak(&args[1..]),
-        "cache_soak" => cache_soak(&args[1..]),
         "fig10" => fig10(),
         "batch_scaling" => batch_scaling(),
         "model_vs_measured" => model_vs_measured(),
         "json" => json_dump(),
         other => {
             eprintln!("unknown subcommand: {other}");
-            eprintln!("usage: repro [all|table1|fig4|fig5|fig8|fig9|fig11|fig12|fig14|fig15|fig16|verify [n]|golden_regen|fault_campaign [--serve]|serve_soak [--seconds s] [--n size] [--rate-mult x] [--trace-out path]|cache_soak [--ci] [--seconds s] [--n size] [--pool p] [--zipf a] [--trace-out path]|batch_scaling|model_vs_measured|json]");
+            eprintln!("usage: repro [all|table1|fig4|fig5|fig8|fig9|fig11|fig12|fig14|fig15|fig16|verify [n]|golden_regen|batch_scaling|model_vs_measured|json]");
             std::process::exit(2);
         }
     }
@@ -612,727 +586,6 @@ fn golden_regen() {
             e.n, e.b, e.k, e.seed, e.orth_residual, e.sim_residual, e.spectrum_vs_sterf
         );
     }
-}
-
-/// One batched-EVD solve that crosses every instrumented fault site:
-/// DBBR (`stage1.band`, `blas.syr2k`), bulge chasing (`bc.tri`), the
-/// tridiagonal eigensolver (`evd.values`) and the blocked back
-/// transformation (`backtransform.q`).
-fn fault_workload() {
-    use tg_matrix::gen;
-    let n = 48;
-    let problems: Vec<_> = (0..3)
-        .map(|i| gen::random_symmetric(n, 1000 + i as u64))
-        .collect();
-    let method = tg_eigen::EvdMethod::Proposed {
-        b: 8,
-        k: 32,
-        parallel_sweeps: 3,
-        backtransform_k: 32,
-        lookahead: true,
-    };
-    let scheduler = tg_batch::BatchScheduler::new(1);
-    // Faulted runs may legitimately fail numerically (NaN/Inf propagate
-    // into the tridiagonal solver); the checkers have already recorded the
-    // violation by then, so the solver's error is not itself interesting.
-    let _ = scheduler.syevd(&problems, &method, true);
-}
-
-/// Fault-injection campaign: arms each fault of the seed-derived plan in
-/// its own strict check session and demands that (a) the fault fired and
-/// (b) at least one checker caught it; then runs a clean control session
-/// that must record zero failures. Exits nonzero on any undetected fault.
-fn fault_campaign() {
-    use tg_check::fault::FaultPlan;
-    use tg_check::{CheckConfig, CheckSession};
-
-    let seed = std::env::var("TG_FAULT_SEED")
-        .ok()
-        .and_then(|s| s.parse::<u64>().ok())
-        .unwrap_or(101);
-    let plan = FaultPlan::campaign(seed);
-    println!(
-        "== fault-injection campaign (seed {seed}, {} sites) ==",
-        plan.faults.len()
-    );
-
-    let mut undetected = Vec::new();
-    for fault in &plan.faults {
-        let single = FaultPlan::single(fault.site, fault.kind, fault.index);
-        let session = CheckSession::begin(CheckConfig::strict().with_faults(single));
-        let panicked = std::panic::catch_unwind(fault_workload).is_err();
-        let report = session.finish();
-        let fired = !report.faults_fired.is_empty();
-        let caught = !report.passed();
-        println!(
-            "{:<18} {:?} idx {:<4} fired={} failures={}{}",
-            fault.site,
-            fault.kind,
-            fault.index,
-            fired,
-            report.failures().len(),
-            if panicked { " (workload panicked)" } else { "" }
-        );
-        for r in report.failures() {
-            println!(
-                "    {} = {:.3e} (> {:.0e}): {}",
-                r.checker, r.value, r.threshold, r.detail
-            );
-        }
-        if !fired || !caught {
-            undetected.push(fault.site);
-        }
-    }
-
-    let session = CheckSession::begin(CheckConfig::strict());
-    fault_workload();
-    let clean = session.finish();
-    println!(
-        "clean control: {} checks, {} failures, {} faults fired",
-        clean.records.len(),
-        clean.failures().len(),
-        clean.faults_fired.len()
-    );
-
-    let mut bad = false;
-    if !undetected.is_empty() {
-        eprintln!("UNDETECTED fault(s) at: {}", undetected.join(", "));
-        bad = true;
-    }
-    if !clean.passed() || !clean.faults_fired.is_empty() {
-        eprintln!("clean control run was not clean");
-        bad = true;
-    }
-    if bad {
-        std::process::exit(1);
-    }
-    println!("every injected fault was caught; clean run spotless");
-}
-
-/// Serving-mode fault campaign: each fault of the seed-derived plan is
-/// armed in its own check session and driven through a `tg-serve`
-/// [`tg_serve::JobService`] under admission pressure (1.5× the queue+worker
-/// capacity). For every site the service must (a) reach quiescence within
-/// the watchdog — no hangs, (b) lose no job (conservation ledger), and
-/// (c) return every admitted job either retried-to-success with results
-/// **bitwise-identical** to the direct path, or as a clean typed error
-/// within its deadline. A clean control run at the end must complete
-/// everything with zero retries.
-fn fault_campaign_serve() {
-    use std::time::Duration;
-    use tg_check::fault::FaultPlan;
-    use tg_check::{CheckConfig, CheckSession};
-    use tg_matrix::gen;
-    use tg_serve::{JobService, JobSpec, JobStatus, ServeConfig, SubmitError};
-
-    let seed = std::env::var("TG_FAULT_SEED")
-        .ok()
-        .and_then(|s| s.parse::<u64>().ok())
-        .unwrap_or(101);
-    let plan = FaultPlan::campaign(seed);
-    let n = 48;
-    let method = tg_eigen::EvdMethod::Proposed {
-        b: 8,
-        k: 32,
-        parallel_sweeps: 3,
-        backtransform_k: 32,
-        lookahead: true,
-    };
-    let workers: usize = 2;
-    let queue_cap: usize = 4;
-    // 1.5× of what the service can hold at once (workers + queue slots).
-    let jobs = (3 * (workers + queue_cap)).div_ceil(2);
-    let deadline = Duration::from_secs(60);
-    let watchdog = Duration::from_secs(120);
-    let problems: Vec<tg_matrix::Mat> = (0..jobs)
-        .map(|i| gen::random_symmetric(n, 1000 + i as u64))
-        .collect();
-    // Uncorrupted references, computed outside any session.
-    let references: Vec<_> = problems
-        .iter()
-        .map(|a| tg_eigen::syevd(&mut a.clone(), &method, true).expect("reference solve"))
-        .collect();
-    println!(
-        "== serving-mode fault campaign (seed {seed}, {} sites, {jobs} jobs \
-         at 1.5x capacity {workers}+{queue_cap}) ==",
-        plan.faults.len()
-    );
-
-    let run_workload = |label: &str| -> (Vec<(usize, JobStatus, bool)>, tg_serve::ServiceStats) {
-        let svc = JobService::start(ServeConfig {
-            workers,
-            queue_cap,
-            default_deadline: deadline,
-            max_retries: 3,
-            retry_backoff: Duration::from_micros(200),
-            serial_fallback: true,
-            ..ServeConfig::default()
-        })
-        .expect("serve config is valid");
-        let ids: Vec<Option<u64>> = problems
-            .iter()
-            .map(
-                |a| match svc.submit(JobSpec::new(a.clone(), method.clone(), true)) {
-                    Ok(id) => Some(id),
-                    Err(SubmitError::Overloaded { .. }) => None,
-                    Err(e) => panic!("unexpected rejection: {e}"),
-                },
-            )
-            .collect();
-        if !svc.wait_quiescent(watchdog) {
-            // A stuck worker would also wedge shutdown's join — report the
-            // hang and abandon the process rather than hanging the harness.
-            eprintln!("HANG: {label}: service did not quiesce within {watchdog:?}");
-            std::process::exit(1);
-        }
-        let outcomes = ids
-            .iter()
-            .enumerate()
-            .filter_map(|(i, id)| id.map(|id| (i, id)))
-            .map(|(i, id)| {
-                let out = svc.wait(id);
-                let bitwise_ok = match (&out.status, &out.result) {
-                    (JobStatus::Completed, Some(evd)) => {
-                        evd.eigenvalues == references[i].eigenvalues
-                            && evd.eigenvectors == references[i].eigenvectors
-                    }
-                    (JobStatus::Completed, None) => false,
-                    _ => out.latency <= deadline + Duration::from_secs(5),
-                };
-                (i, out.status, bitwise_ok)
-            })
-            .collect();
-        (outcomes, svc.shutdown())
-    };
-
-    let mut bad = false;
-    for fault in &plan.faults {
-        let single = FaultPlan::single(fault.site, fault.kind, fault.index);
-        let session = CheckSession::begin(CheckConfig::fast().with_faults(single));
-        let (outcomes, stats) = run_workload(fault.site);
-        let report = session.finish();
-        let fired = !report.faults_fired.is_empty();
-        let lost = stats.ledger.completed + stats.ledger.failed + stats.ledger.shed
-            != stats.ledger.submitted;
-        let dirty = outcomes.iter().filter(|(_, _, ok)| !ok).count();
-        println!(
-            "{:<18} {:?} idx {:<4} fired={} retries={} fallback={} \
-             completed={} failed={} shed={} dirty={}",
-            fault.site,
-            fault.kind,
-            fault.index,
-            fired,
-            stats.retries,
-            stats.fallback_completions,
-            stats.ledger.completed,
-            stats.ledger.failed,
-            stats.ledger.shed,
-            dirty,
-        );
-        if !fired {
-            eprintln!(
-                "    fault at {} never fired under the serve workload",
-                fault.site
-            );
-            bad = true;
-        }
-        if lost || !stats.ledger.balanced() {
-            eprintln!("    LOST JOB(S): ledger {:?}", stats.ledger);
-            bad = true;
-        }
-        if dirty > 0 {
-            for (i, status, ok) in &outcomes {
-                if !ok {
-                    eprintln!("    job {i}: status {status:?} — corrupt result or late error");
-                }
-            }
-            bad = true;
-        }
-    }
-
-    let (outcomes, stats) = run_workload("clean control");
-    let clean_dirty = outcomes.iter().filter(|(_, _, ok)| !ok).count();
-    println!(
-        "clean control: completed={} failed={} shed={} retries={} dirty={}",
-        stats.ledger.completed, stats.ledger.failed, stats.ledger.shed, stats.retries, clean_dirty,
-    );
-    if stats.retries != 0 || clean_dirty != 0 || !stats.ledger.balanced() {
-        eprintln!("clean control run was not clean");
-        bad = true;
-    }
-    if bad {
-        std::process::exit(1);
-    }
-    println!(
-        "every fault healed through the service: zero jobs lost, no hangs, \
-         admitted results bitwise-identical to the direct path"
-    );
-}
-
-/// Open-loop soak of the job service (the nightly `serve_soak` CI gate).
-///
-/// Calibrates single-problem capacity on this machine, then submits an
-/// open-loop stream at `rate-mult ×` that capacity (default 1.5× — the
-/// generator never slows down for the service, so the overload is real)
-/// for `--seconds`. Asserts that (a) load shedding engaged, (b) the
-/// conservation ledger lost nothing, and (c) p99 of *admitted* jobs
-/// finished inside their deadline. `--trace-out` additionally records the
-/// run under a trace session and writes the Chrome trace plus the
-/// timeline report next to it (uploaded by CI on failure).
-fn serve_soak(args: &[String]) {
-    use std::time::{Duration, Instant};
-    use tg_matrix::gen;
-    use tg_serve::{JobService, JobSpec, JobStatus, ServeConfig, SubmitError};
-
-    let mut seconds = 60.0f64;
-    let mut n = 64usize;
-    let mut rate_mult = 1.5f64;
-    let mut trace_out: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--seconds" => seconds = it.next().and_then(|s| s.parse().ok()).expect("--seconds"),
-            "--n" => n = it.next().and_then(|s| s.parse().ok()).expect("--n"),
-            "--rate-mult" => {
-                rate_mult = it.next().and_then(|s| s.parse().ok()).expect("--rate-mult")
-            }
-            "--trace-out" => trace_out = Some(it.next().expect("--trace-out").clone()),
-            other => {
-                eprintln!("serve_soak: unknown flag {other}");
-                std::process::exit(2);
-            }
-        }
-    }
-
-    let method = tg_eigen::EvdMethod::proposed_default(n);
-    let workers = tg_blas::threads::worker_threads();
-
-    // Capacity calibration: mean single-problem solve time on one thread.
-    let calib = gen::random_symmetric(n, 7);
-    let _ = tg_eigen::syevd(&mut calib.clone(), &method, false).expect("warmup");
-    let reps = 5;
-    let t0 = Instant::now();
-    for _ in 0..reps {
-        let _ = tg_eigen::syevd(&mut calib.clone(), &method, false).expect("calibration");
-    }
-    let per_solve = t0.elapsed().as_secs_f64() / reps as f64;
-    let capacity_hz = workers as f64 / per_solve;
-    let rate_hz = rate_mult * capacity_hz;
-    let total_jobs = (rate_hz * seconds).ceil().max(8.0) as usize;
-    let queue_cap = (2 * workers).max(4);
-    // Deadline: time to drain a full queue ahead of you, with a wide
-    // margin for scheduler noise on a loaded box.
-    let deadline = Duration::from_secs_f64(((queue_cap + 2) as f64 * per_solve * 10.0).max(2.0));
-    println!(
-        "== serve_soak: n={n}, {workers} worker(s), capacity {capacity_hz:.1} jobs/s, \
-         open loop at {rate_hz:.1} jobs/s ({rate_mult}x) for {seconds:.0}s ==",
-    );
-    println!(
-        "queue_cap {queue_cap}, deadline {:.0} ms, {total_jobs} submissions planned",
-        deadline.as_secs_f64() * 1e3
-    );
-
-    // A small pool of inputs, cycled: the soak stresses serving, not gen.
-    let pool: Vec<tg_matrix::Mat> = (0..32)
-        .map(|i| gen::random_symmetric(n, 9000 + i as u64))
-        .collect();
-
-    let trace_session = trace_out.as_ref().map(|_| tg_trace::TraceSession::begin());
-    let svc = JobService::start(ServeConfig {
-        workers,
-        queue_cap,
-        default_deadline: deadline,
-        max_retries: 2,
-        retry_backoff: Duration::from_micros(200),
-        serial_fallback: true,
-        ..ServeConfig::default()
-    })
-    .expect("serve config is valid");
-
-    let start = Instant::now();
-    let mut admitted: Vec<u64> = Vec::new();
-    let mut shed = 0u64;
-    for i in 0..total_jobs {
-        let due = start + Duration::from_secs_f64(i as f64 / rate_hz);
-        if let Some(wait) = due.checked_duration_since(Instant::now()) {
-            std::thread::sleep(wait);
-        }
-        let spec = JobSpec::new(pool[i % pool.len()].clone(), method.clone(), false);
-        match svc.submit(spec) {
-            Ok(id) => admitted.push(id),
-            Err(SubmitError::Overloaded { .. }) => shed += 1,
-            Err(e) => panic!("unexpected rejection: {e}"),
-        }
-    }
-    let submit_wall = start.elapsed();
-    if !svc.wait_quiescent(deadline * 2 + Duration::from_secs(30)) {
-        eprintln!("HANG: soak did not quiesce after the load stopped");
-        std::process::exit(1);
-    }
-
-    let mut completed_lat: Vec<Duration> = Vec::new();
-    let mut deadline_failures = 0u64;
-    let mut other_failures = 0u64;
-    for &id in &admitted {
-        let out = svc.wait(id);
-        match out.status {
-            JobStatus::Completed => completed_lat.push(out.latency),
-            JobStatus::Failed(tg_serve::FailReason::DeadlineExceeded) => deadline_failures += 1,
-            _ => other_failures += 1,
-        }
-    }
-    let stats = svc.shutdown();
-    if let (Some(path), Some(session)) = (&trace_out, trace_session) {
-        let trace = session.finish();
-        std::fs::write(path, trace.chrome_json()).expect("write trace");
-        let report_path = format!("{path}.timeline.txt");
-        std::fs::write(&report_path, trace.timeline_report().to_string()).expect("write timeline");
-        println!("wrote {path} and {report_path}");
-    }
-
-    completed_lat.sort_unstable();
-    let pct = |p: f64| -> Duration {
-        if completed_lat.is_empty() {
-            Duration::ZERO
-        } else {
-            completed_lat[((completed_lat.len() - 1) as f64 * p) as usize]
-        }
-    };
-    let l = stats.ledger;
-    println!(
-        "submitted {} in {:.1}s: completed {}, shed {} ({:.1}%), \
-         deadline-failures {}, other failures {}, retries {}",
-        l.submitted,
-        submit_wall.as_secs_f64(),
-        l.completed,
-        l.shed,
-        100.0 * l.shed as f64 / l.submitted.max(1) as f64,
-        deadline_failures,
-        other_failures,
-        stats.retries,
-    );
-    println!(
-        "admitted-job latency: p50 {:.1} ms, p99 {:.1} ms, max {:.1} ms (deadline {:.0} ms)",
-        pct(0.50).as_secs_f64() * 1e3,
-        pct(0.99).as_secs_f64() * 1e3,
-        completed_lat
-            .last()
-            .copied()
-            .unwrap_or_default()
-            .as_secs_f64()
-            * 1e3,
-        deadline.as_secs_f64() * 1e3
-    );
-
-    let mut bad = false;
-    if l.shed == 0 {
-        eprintln!("FAIL: open loop at {rate_mult}x capacity never shed — overload not engaged");
-        bad = true;
-    }
-    if l.shed != shed {
-        eprintln!(
-            "FAIL: generator saw {shed} typed Overloaded rejections but the ledger counted {}",
-            l.shed
-        );
-        bad = true;
-    }
-    if !l.balanced() || l.completed + l.failed + l.shed != l.submitted {
-        eprintln!("FAIL: jobs lost — ledger {l:?}");
-        bad = true;
-    }
-    if l.submitted != total_jobs as u64 {
-        eprintln!(
-            "FAIL: {} submissions recorded of {total_jobs} sent",
-            l.submitted
-        );
-        bad = true;
-    }
-    // p99 in-deadline for admitted jobs: at most 1% may blow the deadline.
-    let in_deadline_violations = deadline_failures + other_failures;
-    let budget = (admitted.len() as u64).div_ceil(100);
-    if in_deadline_violations > budget {
-        eprintln!(
-            "FAIL: {in_deadline_violations} of {} admitted jobs missed their deadline \
-             (p99 budget {budget})",
-            admitted.len()
-        );
-        bad = true;
-    }
-    if bad {
-        std::process::exit(1);
-    }
-    println!("soak passed: shedding engaged, zero jobs lost, p99 in-deadline");
-}
-
-/// Nightly gate for the content-addressed result cache (`cache_soak`).
-///
-/// Replays the *same* deterministic zipf-shaped schedule twice through the
-/// job service — first with the cache disabled, then with `cache_bytes` +
-/// `dedup` on — at 1.5× measured capacity, so the baseline run is a real
-/// overload and the cached run must absorb it. Gates:
-///
-/// 1. **hit rate ≥ 50%** on the cached run (zipf repeats must actually be
-///    served from the cache);
-/// 2. **bitwise identity**: every completed result in *both* runs equals
-///    the direct `syevd` solve of its input bit for bit — a cache hit, a
-///    coalesced follower, and a miss-path solve are indistinguishable;
-/// 3. **extended conservation**: `shed + completed + failed + cache_hits +
-///    coalesced == submitted` at quiescence in both runs;
-/// 4. **p99 strictly improves** with the cache on.
-fn cache_soak(args: &[String]) {
-    use std::time::{Duration, Instant};
-    use tg_matrix::gen;
-    use tg_serve::{JobService, JobSpec, JobStatus, ServeConfig, SubmitError};
-
-    let mut seconds = 20.0f64;
-    let mut n = 64usize;
-    let mut pool_size = 16usize;
-    let mut zipf_a = 1.2f64;
-    let mut trace_out: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            // Nightly preset; explicit flags after it still override.
-            "--ci" => {
-                seconds = 40.0;
-                pool_size = 24;
-            }
-            "--seconds" => seconds = it.next().and_then(|s| s.parse().ok()).expect("--seconds"),
-            "--n" => n = it.next().and_then(|s| s.parse().ok()).expect("--n"),
-            "--pool" => pool_size = it.next().and_then(|s| s.parse().ok()).expect("--pool"),
-            "--zipf" => zipf_a = it.next().and_then(|s| s.parse().ok()).expect("--zipf"),
-            "--trace-out" => trace_out = Some(it.next().expect("--trace-out").clone()),
-            other => {
-                eprintln!("cache_soak: unknown flag {other}");
-                std::process::exit(2);
-            }
-        }
-    }
-
-    let method = tg_eigen::EvdMethod::proposed_default(n);
-    let workers = tg_blas::threads::worker_threads();
-
-    // Capacity calibration, exactly as serve_soak does it.
-    let calib = gen::random_symmetric(n, 7);
-    let _ = tg_eigen::syevd(&mut calib.clone(), &method, false).expect("warmup");
-    let reps = 5;
-    let t0 = Instant::now();
-    for _ in 0..reps {
-        let _ = tg_eigen::syevd(&mut calib.clone(), &method, false).expect("calibration");
-    }
-    let per_solve = t0.elapsed().as_secs_f64() / reps as f64;
-    let capacity_hz = workers as f64 / per_solve;
-    let rate_hz = 1.5 * capacity_hz;
-    let total_jobs = (rate_hz * seconds).ceil().max(32.0) as usize;
-    let queue_cap = (4 * workers).max(8);
-    let deadline = Duration::from_secs_f64(((queue_cap + 2) as f64 * per_solve * 10.0).max(2.0));
-
-    // The popularity-skewed request pool, and the *shared* schedule both
-    // runs replay: pool index per submission, drawn from a zipf(a) CDF
-    // with a fixed-seed splitmix64 stream. Identical inputs in identical
-    // order is what makes the off/on p99 comparison meaningful.
-    let pool: Vec<tg_matrix::Mat> = (0..pool_size)
-        .map(|i| gen::random_symmetric(n, 11_000 + i as u64))
-        .collect();
-    let cdf: Vec<f64> = {
-        let weights: Vec<f64> = (0..pool_size)
-            .map(|k| 1.0 / ((k + 1) as f64).powf(zipf_a))
-            .collect();
-        let total: f64 = weights.iter().sum();
-        let mut acc = 0.0;
-        weights
-            .iter()
-            .map(|w| {
-                acc += w / total;
-                acc
-            })
-            .collect()
-    };
-    let mut prng_state = 0x5eed_cafe_f00d_0001u64;
-    let mut splitmix = move || {
-        prng_state = prng_state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = prng_state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    };
-    let schedule: Vec<usize> = (0..total_jobs)
-        .map(|_| {
-            let u = (splitmix() >> 11) as f64 / (1u64 << 53) as f64;
-            cdf.iter().position(|&c| u < c).unwrap_or(pool_size - 1)
-        })
-        .collect();
-
-    // Reference results: the direct path, once per distinct input. Every
-    // completed job in both runs must match its reference bit for bit.
-    let reference: Vec<Vec<u64>> = pool
-        .iter()
-        .map(|a| {
-            tg_eigen::syevd(&mut a.clone(), &method, false)
-                .expect("reference solve")
-                .eigenvalues
-                .iter()
-                .map(|x| x.to_bits())
-                .collect()
-        })
-        .collect();
-
-    println!(
-        "== cache_soak: n={n}, pool {pool_size} (zipf {zipf_a}), {workers} worker(s), \
-         capacity {capacity_hz:.1} jobs/s, open loop at {rate_hz:.1} jobs/s for \
-         {seconds:.0}s x 2 runs ==",
-    );
-    println!(
-        "queue_cap {queue_cap}, deadline {:.0} ms, {total_jobs} submissions per run",
-        deadline.as_secs_f64() * 1e3
-    );
-
-    // One replay of the schedule. Returns (p99 of completed, ledger,
-    // cache stats, bitwise mismatches vs the reference).
-    let run = |label: &str,
-               cache_bytes: u64,
-               dedup: bool,
-               trace_out: Option<&String>|
-     -> (Duration, tg_serve::Ledger, tg_serve::ServiceStats, u64) {
-        let trace_session = trace_out.map(|_| tg_trace::TraceSession::begin());
-        let svc = JobService::start(ServeConfig {
-            workers,
-            queue_cap,
-            default_deadline: deadline,
-            max_retries: 2,
-            retry_backoff: Duration::from_micros(200),
-            serial_fallback: true,
-            cache_bytes,
-            dedup,
-            ..ServeConfig::default()
-        })
-        .expect("serve config is valid");
-        let start = Instant::now();
-        let mut admitted: Vec<(u64, usize)> = Vec::new();
-        for (i, &pi) in schedule.iter().enumerate() {
-            let due = start + Duration::from_secs_f64(i as f64 / rate_hz);
-            if let Some(wait) = due.checked_duration_since(Instant::now()) {
-                std::thread::sleep(wait);
-            }
-            match svc.submit(JobSpec::new(pool[pi].clone(), method.clone(), false)) {
-                Ok(id) => admitted.push((id, pi)),
-                Err(SubmitError::Overloaded { .. }) => {}
-                Err(e) => panic!("unexpected rejection: {e}"),
-            }
-        }
-        if !svc.wait_quiescent(deadline * 2 + Duration::from_secs(30)) {
-            eprintln!("HANG: {label} run did not quiesce after the load stopped");
-            std::process::exit(1);
-        }
-        let mut completed_lat: Vec<Duration> = Vec::new();
-        let mut mismatches = 0u64;
-        for &(id, pi) in &admitted {
-            let out = svc.wait(id);
-            if out.status == JobStatus::Completed {
-                completed_lat.push(out.latency);
-                let evd = out.result.expect("completed job carries its result");
-                let same = evd.eigenvalues.len() == reference[pi].len()
-                    && evd
-                        .eigenvalues
-                        .iter()
-                        .zip(reference[pi].iter())
-                        .all(|(x, &bits)| x.to_bits() == bits);
-                if !same {
-                    mismatches += 1;
-                }
-            }
-        }
-        let stats = svc.shutdown();
-        if let (Some(path), Some(session)) = (trace_out, trace_session) {
-            let trace = session.finish();
-            std::fs::write(path, trace.chrome_json()).expect("write trace");
-            println!("wrote {path}");
-        }
-        completed_lat.sort_unstable();
-        let p99 = completed_lat
-            .get(((completed_lat.len().max(1) - 1) as f64 * 0.99) as usize)
-            .copied()
-            .unwrap_or_default();
-        let l = stats.ledger;
-        println!(
-            "{label}: completed {}, shed {}, failed {}, cache_hits {}, coalesced {}, \
-             p99 {:.1} ms, {} bitwise mismatch(es)",
-            l.completed,
-            l.shed,
-            l.failed,
-            l.cache_hits,
-            l.coalesced,
-            p99.as_secs_f64() * 1e3,
-            mismatches,
-        );
-        (p99, l, stats, mismatches)
-    };
-
-    let (p99_off, l_off, _stats_off, bad_off) = run("cache-off", 0, false, None);
-    let (p99_on, l_on, stats_on, bad_on) =
-        run("cache-on ", 64 * 1024 * 1024, true, trace_out.as_ref());
-
-    let hits = stats_on.cache.hits;
-    let lookups = stats_on.cache.hits + stats_on.cache.misses;
-    let hit_rate = hits as f64 / lookups.max(1) as f64;
-    println!(
-        "cache-on hit rate: {hits}/{lookups} = {:.1}% ({} insertion(s), {} eviction(s), \
-         {} B live)",
-        100.0 * hit_rate,
-        stats_on.cache.insertions,
-        stats_on.cache.evictions,
-        stats_on.cache_live_bytes,
-    );
-
-    let mut bad = false;
-    if hit_rate < 0.5 {
-        eprintln!("FAIL: hit rate {:.1}% < 50%", 100.0 * hit_rate);
-        bad = true;
-    }
-    if bad_off + bad_on > 0 {
-        eprintln!(
-            "FAIL: {bad_off}+{bad_on} completed result(s) differ bitwise from the direct path \
-             — the cache (or the service) returned a wrong answer"
-        );
-        bad = true;
-    }
-    for (label, l) in [("cache-off", &l_off), ("cache-on", &l_on)] {
-        if !l.balanced()
-            || l.shed + l.completed + l.failed + l.cache_hits + l.coalesced != l.submitted
-        {
-            eprintln!("FAIL: {label} ledger lost jobs — {l:?}");
-            bad = true;
-        }
-        if l.submitted != total_jobs as u64 {
-            eprintln!(
-                "FAIL: {label} recorded {} submissions of {total_jobs} sent",
-                l.submitted
-            );
-            bad = true;
-        }
-    }
-    if l_off.cache_hits + l_off.coalesced != 0 {
-        eprintln!("FAIL: baseline run used the cache — it was configured off");
-        bad = true;
-    }
-    if p99_on >= p99_off {
-        eprintln!(
-            "FAIL: cache-on p99 {:.1} ms did not beat cache-off p99 {:.1} ms",
-            p99_on.as_secs_f64() * 1e3,
-            p99_off.as_secs_f64() * 1e3,
-        );
-        bad = true;
-    }
-    if bad {
-        std::process::exit(1);
-    }
-    println!(
-        "cache soak passed: {:.1}% hits, all results bitwise-identical, both ledgers \
-         conserved, p99 {:.1} ms -> {:.1} ms",
-        100.0 * hit_rate,
-        p99_off.as_secs_f64() * 1e3,
-        p99_on.as_secs_f64() * 1e3,
-    );
 }
 
 fn fig10() {

@@ -19,8 +19,8 @@
 //! | `blas.panel_qr`   | panel `W` factor after the stage-1 panel QR (dbbr)    |
 //!
 //! Everything is seed-deterministic: [`FaultPlan::campaign`] derives kinds
-//! and indices from a splitmix64 stream, so `TG_FAULT_SEED=101` reproduces
-//! the identical corruption on every run.
+//! and indices from a splitmix64 stream, so `FaultPlan::campaign(101)`
+//! reproduces the identical corruption on every run.
 
 use std::sync::Mutex;
 use std::sync::OnceLock;
@@ -68,6 +68,10 @@ pub const SITES: [&str; 6] = [
     "blas.panel_qr",
 ];
 
+/// Seeds of the release fault campaigns (`tests/fault_injection.rs`,
+/// `tests/serve_gates.rs`).
+pub const CAMPAIGN_SEEDS: [u64; 4] = [101, 202, 303, 404];
+
 impl FaultPlan {
     /// One specific fault.
     pub fn single(site: &'static str, kind: FaultKind, index: usize) -> FaultPlan {
@@ -78,7 +82,7 @@ impl FaultPlan {
 
     /// Seed-derived campaign: one fault per known site, with kind and index
     /// drawn from a splitmix64 stream. The same seed always produces the
-    /// same plan (`TG_FAULT_SEED` in CI).
+    /// same plan.
     pub fn campaign(seed: u64) -> FaultPlan {
         let mut s = seed;
         let faults = SITES
@@ -95,12 +99,6 @@ impl FaultPlan {
             })
             .collect();
         FaultPlan { faults }
-    }
-
-    /// Campaign seeded from `TG_FAULT_SEED`, or `None` when unset/invalid.
-    pub fn from_env() -> Option<FaultPlan> {
-        let seed = std::env::var("TG_FAULT_SEED").ok()?.parse::<u64>().ok()?;
-        Some(FaultPlan::campaign(seed))
     }
 
     /// The subset of the plan targeting one site.
@@ -395,16 +393,5 @@ mod tests {
         assert!(inject("bc.tri", &mut buf).is_some());
         assert_eq!(fired_on_this_thread(), before + 1);
         let _ = session.finish();
-    }
-
-    #[test]
-    fn from_env_parses_seed() {
-        // avoid mutating process env in parallel tests: only sanity-check
-        // the unset/garbage path plus direct campaign equivalence
-        if std::env::var("TG_FAULT_SEED").is_err() {
-            assert!(FaultPlan::from_env().is_none());
-        }
-        let plan = FaultPlan::campaign(7);
-        assert_eq!(plan.faults.len(), SITES.len());
     }
 }

@@ -88,7 +88,7 @@ fn parse_opts(args: &[String]) -> Opts {
         jobs: None,
         deadline_ms: 30_000,
         queue_cap: 64,
-        retries: 2,
+        retries: tg_serve::ServeConfig::default().max_retries,
         rate_hz: 0.0,
         cache_mb: 0,
         dedup: false,
@@ -314,47 +314,28 @@ fn with_check<T>(o: &Opts, f: impl FnOnce() -> T) -> T {
     out
 }
 
-/// Open-loop load generator for `tridiag serve`: submission times sit on a
-/// fixed clock grid (`start + i / rate`) and are never adjusted for
-/// completions — an overloaded service keeps receiving work at full rate,
-/// which is exactly what exposes load shedding. `rate_hz == 0` submits the
-/// whole set as one burst. Returns (admitted, shed, completed-job
-/// latencies).
+/// Drives `tridiag serve`'s open-loop load (see
+/// [`tg_serve::JobService::submit_open_loop`]), then waits for quiescence.
+/// Returns (admitted, shed, completed-job latencies).
 fn drive_open_loop(
     svc: &tg_serve::JobService,
     specs: Vec<tg_serve::JobSpec>,
     rate_hz: f64,
     deadline_ms: u64,
 ) -> (u64, u64, Vec<std::time::Duration>) {
-    use std::time::{Duration, Instant};
-    let start = Instant::now();
-    let mut ids = Vec::new();
-    let mut shed = 0u64;
-    for (i, spec) in specs.into_iter().enumerate() {
-        if rate_hz > 0.0 {
-            let due = start + Duration::from_secs_f64(i as f64 / rate_hz);
-            if let Some(wait) = due.checked_duration_since(Instant::now()) {
-                std::thread::sleep(wait);
-            }
-        }
-        match svc.submit(spec) {
-            Ok(id) => ids.push(id),
-            Err(tg_serve::SubmitError::Overloaded { .. }) => shed += 1,
-            Err(e) => fail(e),
-        }
-    }
+    use std::time::Duration;
+    let (admitted, shed) = svc.submit_open_loop(specs, rate_hz);
     let grace = Duration::from_millis(deadline_ms) * 2 + Duration::from_secs(60);
     if !svc.wait_quiescent(grace) {
         fail("service failed to quiesce within the grace period (hang?)");
     }
-    let mut latencies = Vec::new();
-    for id in ids.iter() {
-        let out = svc.wait(*id);
-        if out.status == tg_serve::JobStatus::Completed {
-            latencies.push(out.latency);
-        }
-    }
-    (ids.len() as u64, shed, latencies)
+    let latencies = admitted
+        .iter()
+        .map(|&(_, id)| svc.wait(id))
+        .filter(|out| out.status == tg_serve::JobStatus::Completed)
+        .map(|out| out.latency)
+        .collect();
+    (admitted.len() as u64, shed, latencies)
 }
 
 fn main() {
@@ -513,7 +494,7 @@ fn main() {
             let l = stats.ledger;
             eprintln!(
                 "served {} submissions on {} worker(s): {} completed, {} failed, \
-                 {} shed ({} admitted), {} retr{}, {} via fallback",
+                 {} shed ({} admitted), {} retr{}",
                 l.submitted,
                 o.threads.max(1),
                 l.completed,
@@ -522,7 +503,6 @@ fn main() {
                 admitted,
                 stats.retries,
                 if stats.retries == 1 { "y" } else { "ies" },
-                stats.fallback_completions,
             );
             debug_assert_eq!(l.shed, shed);
             if o.cache_mb > 0 || o.dedup {

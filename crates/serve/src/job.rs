@@ -64,9 +64,12 @@ pub enum FailReason {
     DeadlineExceeded,
     /// The job was cancelled by the caller.
     Cancelled,
-    /// Every attempt — the configured retries plus the serial-reference
-    /// fallback — failed. Carries the attempt count and a description of
-    /// the last error.
+    /// The input's lower triangle holds a NaN or infinity at `(row, col)`
+    /// (the first one, scanning column by column). Ends the job after its
+    /// first attempt: no retry can change the input.
+    NonFiniteInput { row: usize, col: usize },
+    /// All `1 + max_retries` attempts failed. Carries the attempt count
+    /// and a description of the last error.
     Exhausted { attempts: u32, last_error: String },
 }
 
@@ -75,6 +78,9 @@ impl std::fmt::Display for FailReason {
         match self {
             FailReason::DeadlineExceeded => write!(f, "deadline exceeded"),
             FailReason::Cancelled => write!(f, "cancelled"),
+            FailReason::NonFiniteInput { row, col } => {
+                write!(f, "input holds a non-finite value at ({row}, {col})")
+            }
             FailReason::Exhausted {
                 attempts,
                 last_error,
@@ -127,6 +133,7 @@ impl JobStatus {
             JobStatus::Completed => "completed",
             JobStatus::Failed(FailReason::DeadlineExceeded) => "deadline-exceeded",
             JobStatus::Failed(FailReason::Cancelled) => "cancelled",
+            JobStatus::Failed(FailReason::NonFiniteInput { .. }) => "non-finite-input",
             JobStatus::Failed(FailReason::Exhausted { .. }) => "exhausted",
             JobStatus::Shed => "shed",
         }

@@ -14,8 +14,11 @@
 //! * **per-job deadlines** and cooperative **cancellation**;
 //! * **retry with deterministic exponential backoff** on transient
 //!   failures (injected faults, non-finite results, solver errors,
-//!   panics), falling back to the serial reference path when the
-//!   worker attempts are exhausted;
+//!   panics): `1 + max_retries` attempts, then a typed `Exhausted`
+//!   failure (a non-finite *input* fails at once, typed too);
+//! * an **open-loop load generator**
+//!   ([`JobService::submit_open_loop`]) that submits on a fixed clock
+//!   grid, whatever the service does;
 //! * a **content-addressed result cache** ([`EvdCache`]): submissions
 //!   whose matrix bytes and solve configuration hash to a stored clean
 //!   result are answered at admission without a worker solve — sound
@@ -30,7 +33,7 @@
 //!
 //! Completed results are **bitwise-identical** to the direct
 //! [`fn@tg_eigen::syevd`] path regardless of worker count, queue pressure,
-//! retries, or fallback — see the determinism notes on [`service`].
+//! or retries — see the determinism notes on [`service`].
 //!
 //! ```
 //! use tg_serve::{JobService, JobSpec, ServeConfig};

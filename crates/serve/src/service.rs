@@ -1,5 +1,5 @@
-//! The job service: worker pool, admission, deadlines, retries, fallback,
-//! and load shedding around the batched-EVD machinery.
+//! The job service: worker pool, admission, deadlines, retries, and load
+//! shedding around the batched-EVD machinery.
 //!
 //! # Execution model
 //!
@@ -21,17 +21,17 @@
 //! the attempt panicked. Transient failures are retried with deterministic
 //! exponential backoff; every attempt recomputes from the pristine input
 //! with freshly allocated scratch, so nothing a failed attempt touched
-//! survives into the next. When the worker attempts are exhausted the job
-//! gets one last fallback attempt on the serial reference path (plain
-//! [`fn@tg_eigen::syevd`], traced as `serve.fallback`); only if that also
-//! fails does the job end as [`FailReason::Exhausted`].
+//! survives into the next. A job gets `1 + max_retries` attempts, then
+//! ends as [`FailReason::Exhausted`]. The one permanent failure is a
+//! non-finite input: `syevd`'s input gate runs before any fault site, so
+//! its [`tg_eigen::EigenError::NonFiniteInput`] ends the job after the
+//! first attempt as [`FailReason::NonFiniteInput`].
 //!
 //! # Determinism contract
 //!
 //! A completed job's result is **bitwise-identical** to calling
-//! [`fn@tg_eigen::syevd`] directly on the same input: the worker attempts
-//! and the fallback both *are* the direct path, and a retry recomputes from
-//! the pristine input matrix. Admission order, worker count, shedding, and
+//! [`fn@tg_eigen::syevd`] directly on the same input: every attempt *is*
+//! the direct path, and a retry recomputes from the pristine input matrix. Admission order, worker count, shedding, and
 //! retries decide *whether and when* a job completes — never what its
 //! result contains.
 
@@ -62,15 +62,12 @@ pub struct ServeConfig {
     pub queue_cap: usize,
     /// Deadline for jobs that don't carry their own.
     pub default_deadline: Duration,
-    /// Transient-failure retries per job on the worker path (the
-    /// job's first attempt is not a retry).
+    /// Transient-failure retries per job (the job's first attempt is not
+    /// a retry): a job runs at most `1 + max_retries` attempts.
     pub max_retries: u32,
     /// Base backoff before retry `k` sleeps `base · 2^k`, clipped to the
     /// job's remaining deadline budget.
     pub retry_backoff: Duration,
-    /// After exhausting retries, make one final attempt through the
-    /// serial reference path (plain `syevd`, fresh allocations).
-    pub serial_fallback: bool,
     /// Byte budget for the content-addressed result cache (`0` disables
     /// caching). Sound because completed results are bitwise-deterministic
     /// — see `docs/CACHING.md`.
@@ -93,9 +90,8 @@ impl Default for ServeConfig {
             workers: 0,
             queue_cap: 64,
             default_deadline: Duration::from_secs(30),
-            max_retries: 2,
+            max_retries: 3,
             retry_backoff: Duration::from_millis(1),
-            serial_fallback: true,
             cache_bytes: 0,
             dedup: false,
             verify_hits: false,
@@ -165,10 +161,8 @@ impl std::error::Error for SubmitError {}
 pub struct ServiceStats {
     /// Conservation ledger snapshot.
     pub ledger: Ledger,
-    /// Attempt re-executions (worker-path retries + fallback attempts).
+    /// Attempt re-executions (every attempt after a job's first).
     pub retries: u64,
-    /// Jobs that ended via the serial-reference fallback.
-    pub fallback_completions: u64,
     /// Result-cache lifetime counters (all zero when caching is off).
     pub cache: CacheStats,
     /// Bytes currently held by the result cache.
@@ -197,12 +191,33 @@ struct JobSlot {
     followers: Vec<JobId>,
 }
 
+impl JobSlot {
+    /// A slot entering `status` at admission time `now`, holding nothing
+    /// yet; terminal admissions (cache hit, shed) finish at `now`.
+    fn new(status: JobStatus, priority: Priority, deadline: Duration, now: Instant) -> JobSlot {
+        JobSlot {
+            spec: None,
+            finished_at: status.is_terminal().then_some(now),
+            status,
+            priority,
+            deadline,
+            ticket: None,
+            cancel: CancelToken::new(),
+            submitted_at: now,
+            queue_wait: None,
+            attempts: 0,
+            result: None,
+            cache_key: None,
+            followers: Vec::new(),
+        }
+    }
+}
+
 struct State {
     queue: BoundedQueue<JobId>,
     jobs: Vec<JobSlot>,
     ledger: Ledger,
     retries: u64,
-    fallback_completions: u64,
     cache: EvdCache,
     /// Content key → id of the queued/running/coalescing leader for that
     /// key. At most one leader per key exists at any time.
@@ -214,7 +229,6 @@ struct Shared {
     workers: usize,
     max_retries: u32,
     retry_backoff: Duration,
-    serial_fallback: bool,
     default_deadline: Duration,
     /// Cache/dedup switches, hoisted out of `State` so `submit` can skip
     /// key derivation (an `O(n²)` hash) without taking the lock.
@@ -263,7 +277,6 @@ impl JobService {
             workers,
             max_retries: cfg.max_retries,
             retry_backoff: cfg.retry_backoff,
-            serial_fallback: cfg.serial_fallback,
             default_deadline: cfg.default_deadline,
             cache_enabled: cfg.cache_bytes > 0,
             dedup: cfg.dedup,
@@ -273,7 +286,6 @@ impl JobService {
                 jobs: Vec::new(),
                 ledger: Ledger::default(),
                 retries: 0,
-                fallback_completions: 0,
                 cache: EvdCache::new(cfg.cache_bytes),
                 inflight: HashMap::new(),
                 shutdown: false,
@@ -322,6 +334,7 @@ impl JobService {
         let priority = spec.priority;
         let deadline = spec.deadline.unwrap_or(self.shared.default_deadline);
         let now = Instant::now();
+        let slot = |status| JobSlot::new(status, priority, deadline, now);
 
         // 1. Content-addressed cache hit: terminal at admission, no
         //    worker involvement. Sound because stored results come only
@@ -331,19 +344,8 @@ impl JobService {
                 if let Some(evd) = st.cache.lookup(&k) {
                     let verify = self.shared.verify_hits.then(|| evd.clone());
                     st.jobs.push(JobSlot {
-                        spec: None,
-                        status: JobStatus::Completed,
-                        priority,
-                        deadline,
-                        ticket: None,
-                        cancel: CancelToken::new(),
-                        submitted_at: now,
-                        queue_wait: None,
-                        finished_at: Some(now),
-                        attempts: 0,
                         result: Some(evd),
-                        cache_key: None,
-                        followers: Vec::new(),
+                        ..slot(JobStatus::Completed)
                     });
                     st.ledger.on_cache_hit();
                     drop(st);
@@ -373,18 +375,8 @@ impl JobService {
                     );
                     st.jobs.push(JobSlot {
                         spec: Some(spec),
-                        status: JobStatus::Coalesced,
-                        priority,
-                        deadline,
-                        ticket: None,
-                        cancel: CancelToken::new(),
-                        submitted_at: now,
-                        queue_wait: None,
-                        finished_at: None,
-                        attempts: 0,
-                        result: None,
                         cache_key: Some(k),
-                        followers: Vec::new(),
+                        ..slot(JobStatus::Coalesced)
                     });
                     st.jobs[leader as usize].followers.push(id);
                     st.ledger.on_coalesce_attach();
@@ -406,18 +398,9 @@ impl JobService {
             Ok(ticket) => {
                 st.jobs.push(JobSlot {
                     spec: Some(spec),
-                    status: JobStatus::Queued,
-                    priority,
-                    deadline,
                     ticket: Some(ticket),
-                    cancel: CancelToken::new(),
-                    submitted_at: now,
-                    queue_wait: None,
-                    finished_at: None,
-                    attempts: 0,
-                    result: None,
                     cache_key: key,
-                    followers: Vec::new(),
+                    ..slot(JobStatus::Queued)
                 });
                 if self.shared.dedup {
                     if let Some(k) = key {
@@ -430,21 +413,7 @@ impl JobService {
                 Ok(id)
             }
             Err(full) => {
-                st.jobs.push(JobSlot {
-                    spec: None,
-                    status: JobStatus::Shed,
-                    priority,
-                    deadline,
-                    ticket: None,
-                    cancel: CancelToken::new(),
-                    submitted_at: now,
-                    queue_wait: None,
-                    finished_at: Some(now),
-                    attempts: 0,
-                    result: None,
-                    cache_key: None,
-                    followers: Vec::new(),
-                });
+                st.jobs.push(slot(JobStatus::Shed));
                 st.ledger.on_shed();
                 let queue_len = st.queue.len();
                 drop(st);
@@ -457,6 +426,38 @@ impl JobService {
                 })
             }
         }
+    }
+
+    /// Open-loop load generator: submits `specs[i]` at `start + i /
+    /// rate_hz` on a fixed clock grid that never adjusts for completions,
+    /// so an overloaded service keeps receiving work at full rate — which
+    /// is what exposes load shedding. `rate_hz == 0` submits everything as
+    /// one burst. Returns the admitted `(index, id)` pairs and the number
+    /// of shed submissions; it does not wait for any job.
+    pub fn submit_open_loop(
+        &self,
+        specs: impl IntoIterator<Item = JobSpec>,
+        rate_hz: f64,
+    ) -> (Vec<(usize, JobId)>, u64) {
+        let start = Instant::now();
+        let mut admitted = Vec::new();
+        let mut shed = 0u64;
+        for (i, spec) in specs.into_iter().enumerate() {
+            if rate_hz > 0.0 {
+                let due = start + Duration::from_secs_f64(i as f64 / rate_hz);
+                if let Some(wait) = due.checked_duration_since(Instant::now()) {
+                    std::thread::sleep(wait);
+                }
+            }
+            match self.submit(spec) {
+                Ok(id) => admitted.push((i, id)),
+                Err(SubmitError::Overloaded { .. }) => shed += 1,
+                // Shutdown consumes the service, so it cannot begin while
+                // this borrow is alive.
+                Err(SubmitError::ShuttingDown) => unreachable!("service shut down mid-loop"),
+            }
+        }
+        (admitted, shed)
     }
 
     /// Cancels a job. Queued jobs are removed immediately (terminal
@@ -484,6 +485,7 @@ impl JobService {
                     &self.shared,
                     st,
                     id,
+                    0,
                     FailReason::Cancelled,
                     PromotionMode::Requeue,
                 );
@@ -557,7 +559,6 @@ impl JobService {
         ServiceStats {
             ledger: st.ledger,
             retries: st.retries,
-            fallback_completions: st.fallback_completions,
             cache: st.cache.stats(),
             cache_live_bytes: st.cache.live_bytes(),
             cache_entries: st.cache.entries() as u64,
@@ -709,160 +710,105 @@ where
     }
 }
 
-/// Runs one job to a terminal state. Returns the id of a follower
-/// promoted by a failing leader, which the calling worker must run next
-/// (promoted followers are never in the queue).
+/// Runs one job to a terminal state: up to `1 + max_retries` attempts,
+/// each preceded by a cancel and deadline check, and each retry by a
+/// backoff. Returns the id of a follower promoted by a failing leader,
+/// which the calling worker must run next (promoted followers are never in
+/// the queue).
 fn process_job(shared: &Shared, id: JobId) -> Option<JobId> {
-    // Claim the slot: record queue wait, honour cancel/deadline that
-    // arrived while queued, and pull what the attempts need.
-    let (spec, cancel, submitted_at, deadline) = {
-        let mut st = lock_state(shared);
-        let now = Instant::now();
-        let slot = &mut st.jobs[id as usize];
-        let wait = now.duration_since(slot.submitted_at);
-        slot.queue_wait = Some(wait);
-        tg_trace::record_span(
-            "serve.wait",
-            "wait",
-            Some(("job", id)),
-            slot.submitted_at,
-            now,
-            None,
-        );
-        if slot.cancel.is_cancelled() {
-            return fail_job(
-                shared,
-                st,
-                id,
-                FailReason::Cancelled,
-                PromotionMode::RunNext,
-            );
-        }
-        if now.duration_since(slot.submitted_at) > slot.deadline {
-            return fail_job(
-                shared,
-                st,
-                id,
-                FailReason::DeadlineExceeded,
-                PromotionMode::RunNext,
-            );
-        }
-        slot.status = JobStatus::Running;
-        let spec = slot.spec.clone().expect("running job keeps its spec");
-        (spec, slot.cancel.clone(), slot.submitted_at, slot.deadline)
-    };
-
-    let region = tg_trace::RegionId::fresh();
-    let _task = tg_trace::span_region("serve.job", "task", Some(("job", id)), region);
-    let hard_deadline = submitted_at + deadline;
-
     let mut attempts: u32 = 0;
-    let mut last_error: Option<AttemptError> = None;
-
-    // Worker attempts: 1 + max_retries.
-    while attempts < 1 + shared.max_retries {
-        if cancel.is_cancelled() {
-            return fail_job(
-                shared,
-                lock_state(shared),
-                id,
-                FailReason::Cancelled,
-                PromotionMode::RunNext,
-            );
-        }
-        if Instant::now() > hard_deadline {
-            return fail_job(
-                shared,
-                lock_state(shared),
-                id,
-                FailReason::DeadlineExceeded,
-                PromotionMode::RunNext,
-            );
-        }
-        if attempts > 0 {
-            count_retry(shared);
-            if !backoff(shared, attempts - 1, hard_deadline) {
-                return fail_job(
-                    shared,
-                    lock_state(shared),
-                    id,
-                    FailReason::DeadlineExceeded,
-                    PromotionMode::RunNext,
-                );
+    // The `serve.job` span of a claimed job, held to the end of this
+    // function so it covers the terminal transition (`fail_job` too).
+    let mut _task = None;
+    let reason = match claim(shared, id) {
+        Err(reason) => reason,
+        Ok((spec, cancel, hard_deadline)) => {
+            let region = tg_trace::RegionId::fresh();
+            _task = Some(tg_trace::span_region(
+                "serve.job",
+                "task",
+                Some(("job", id)),
+                region,
+            ));
+            loop {
+                if cancel.is_cancelled() {
+                    break FailReason::Cancelled;
+                }
+                if Instant::now() > hard_deadline {
+                    break FailReason::DeadlineExceeded;
+                }
+                if attempts > 0 {
+                    count_retry(shared);
+                    if !backoff(shared, attempts - 1, hard_deadline) {
+                        break FailReason::DeadlineExceeded;
+                    }
+                }
+                attempts += 1;
+                let outcome = {
+                    let _span = tg_trace::span_cat(
+                        "serve.attempt",
+                        "stage",
+                        Some(("attempt", attempts as u64)),
+                    );
+                    classify(|| {
+                        let mut a = spec.matrix.clone();
+                        syevd(&mut a, &spec.method, spec.want_vectors)
+                    })
+                };
+                // Nothing reaches the result cache from a failed attempt —
+                // only `finish_completed`, i.e. a clean attempt, inserts.
+                match outcome {
+                    Ok(evd) => return finish_completed(shared, id, attempts, evd),
+                    Err(AttemptError::Eigen(tg_eigen::EigenError::NonFiniteInput { row, col })) => {
+                        break FailReason::NonFiniteInput { row, col }
+                    }
+                    Err(e) if attempts > shared.max_retries => {
+                        break FailReason::Exhausted {
+                            attempts,
+                            last_error: e.to_string(),
+                        }
+                    }
+                    Err(_) => {}
+                }
             }
         }
-        attempts += 1;
-        let outcome = {
-            let _span =
-                tg_trace::span_cat("serve.attempt", "stage", Some(("attempt", attempts as u64)));
-            classify(|| {
-                let mut a = spec.matrix.clone();
-                syevd(&mut a, &spec.method, spec.want_vectors)
-            })
-        };
-        match outcome {
-            Ok(evd) => return finish_completed(shared, id, attempts, evd, false),
-            // Nothing reaches the result cache from here — only
-            // `finish_completed`, i.e. a clean attempt, inserts.
-            Err(e) => last_error = Some(e),
-        }
-    }
-
-    // Serial reference fallback: the direct path, fresh allocations.
-    if shared.serial_fallback {
-        if cancel.is_cancelled() {
-            return fail_job(
-                shared,
-                lock_state(shared),
-                id,
-                FailReason::Cancelled,
-                PromotionMode::RunNext,
-            );
-        }
-        if Instant::now() > hard_deadline {
-            return fail_job(
-                shared,
-                lock_state(shared),
-                id,
-                FailReason::DeadlineExceeded,
-                PromotionMode::RunNext,
-            );
-        }
-        count_retry(shared);
-        if !backoff(shared, shared.max_retries, hard_deadline) {
-            return fail_job(
-                shared,
-                lock_state(shared),
-                id,
-                FailReason::DeadlineExceeded,
-                PromotionMode::RunNext,
-            );
-        }
-        attempts += 1;
-        let outcome = {
-            let _span = tg_trace::span_cat("serve.fallback", "stage", Some(("job", id)));
-            classify(|| {
-                let mut a = spec.matrix.clone();
-                syevd(&mut a, &spec.method, spec.want_vectors)
-            })
-        };
-        match outcome {
-            Ok(evd) => return finish_completed(shared, id, attempts, evd, true),
-            Err(e) => last_error = Some(e),
-        }
-    }
-
-    let last = last_error.map(|e| e.to_string()).unwrap_or_default();
+    };
     fail_job(
         shared,
         lock_state(shared),
         id,
-        FailReason::Exhausted {
-            attempts,
-            last_error: last,
-        },
+        attempts,
+        reason,
         PromotionMode::RunNext,
     )
+}
+
+/// Claims job `id` for a worker: records its queue wait, and either marks
+/// it running and hands back what the attempts need (spec, cancel token,
+/// absolute deadline), or reports the cancel or deadline that arrived
+/// while it was queued.
+fn claim(shared: &Shared, id: JobId) -> Result<(JobSpec, CancelToken, Instant), FailReason> {
+    let mut st = lock_state(shared);
+    let now = Instant::now();
+    let slot = &mut st.jobs[id as usize];
+    slot.queue_wait = Some(now.duration_since(slot.submitted_at));
+    tg_trace::record_span(
+        "serve.wait",
+        "wait",
+        Some(("job", id)),
+        slot.submitted_at,
+        now,
+        None,
+    );
+    if slot.cancel.is_cancelled() {
+        return Err(FailReason::Cancelled);
+    }
+    if now.duration_since(slot.submitted_at) > slot.deadline {
+        return Err(FailReason::DeadlineExceeded);
+    }
+    slot.status = JobStatus::Running;
+    let spec = slot.spec.clone().expect("running job keeps its spec");
+    Ok((spec, slot.cancel.clone(), slot.submitted_at + slot.deadline))
 }
 
 /// Debug-mode hit validation ([`ServeConfig::verify_hits`] /
@@ -929,16 +875,9 @@ fn backoff(shared: &Shared, k: u32, hard_deadline: Instant) -> bool {
 /// clones to every live follower, and — this being the only path a result
 /// can take into the cache — insert it. `classify` already guaranteed the
 /// attempt was clean (no fired fault, finite, no error, no panic), so
-/// nothing mid-retry can ever be stored; fallback results are cacheable
-/// because the serial reference path is bitwise-identical by contract.
-/// Returns `None` (completion never promotes anything).
-fn finish_completed(
-    shared: &Shared,
-    id: JobId,
-    attempts: u32,
-    evd: Evd,
-    via_fallback: bool,
-) -> Option<JobId> {
+/// nothing mid-retry can ever be stored. Returns `None` (completion never
+/// promotes anything).
+fn finish_completed(shared: &Shared, id: JobId, attempts: u32, evd: Evd) -> Option<JobId> {
     let mut st = lock_state(shared);
     let now = Instant::now();
     let (key, followers) = {
@@ -950,9 +889,6 @@ fn finish_completed(
         (slot.cache_key.take(), std::mem::take(&mut slot.followers))
     };
     st.ledger.on_complete();
-    if via_fallback {
-        st.fallback_completions += 1;
-    }
     // Followers ride the same clean result — each still honours its own
     // cancellation and deadline at this resolution point.
     for f in followers {
@@ -1000,15 +936,16 @@ enum PromotionMode {
     Requeue,
 }
 
-/// Fails job `id` with `reason` and triages its followers: followers
-/// whose own cancel/deadline already expired fail with *their* reason,
-/// and the first live follower is promoted to take over the content key
-/// (leader failure never poisons followers). Returns the promoted id in
-/// [`PromotionMode::RunNext`].
+/// Fails job `id` after `attempts` executed attempts with `reason` and
+/// triages its followers: followers whose own cancel/deadline already
+/// expired fail with *their* reason, and the first live follower is
+/// promoted to take over the content key (leader failure never poisons
+/// followers). Returns the promoted id in [`PromotionMode::RunNext`].
 fn fail_job(
     shared: &Shared,
     mut st: MutexGuard<'_, State>,
     id: JobId,
+    attempts: u32,
     reason: FailReason,
     mode: PromotionMode,
 ) -> Option<JobId> {
@@ -1016,6 +953,7 @@ fn fail_job(
     let (key, followers) = {
         let slot = &mut st.jobs[id as usize];
         slot.status = JobStatus::Failed(reason);
+        slot.attempts = attempts;
         slot.finished_at = Some(now);
         slot.spec = None;
         (slot.cache_key.take(), std::mem::take(&mut slot.followers))

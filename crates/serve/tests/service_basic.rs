@@ -253,3 +253,50 @@ fn priority_classes_drain_high_first_under_one_worker() {
     );
     svc.shutdown();
 }
+
+#[test]
+fn non_finite_input_fails_after_one_attempt_without_retry() {
+    let n = 64;
+    let mut a = gen::random_symmetric(n, 8);
+    a[(40, 17)] = f64::NAN;
+    a[(17, 40)] = f64::NAN;
+    let svc = JobService::start(ServeConfig::default()).unwrap();
+    let id = svc
+        .submit(JobSpec::new(a, EvdMethod::proposed_default(n), true))
+        .unwrap();
+    let outcome = svc.wait(id);
+    assert_eq!(
+        outcome.status,
+        JobStatus::Failed(FailReason::NonFiniteInput { row: 40, col: 17 })
+    );
+    assert_eq!(outcome.status.label(), "non-finite-input");
+    assert_eq!(outcome.attempts, 1, "the input gate ran exactly once");
+    assert!(outcome.result.is_none());
+    let stats = svc.shutdown();
+    assert_eq!(stats.retries, 0, "a bad input is not retried");
+    assert_eq!(stats.ledger.failed, 1);
+    assert!(stats.ledger.balanced());
+}
+
+#[test]
+fn open_loop_burst_accounts_for_every_spec() {
+    let n = 32;
+    let method = EvdMethod::proposed_default(n);
+    let svc = JobService::start(cfg(1, 1)).unwrap();
+    let specs: Vec<_> = (0..16)
+        .map(|s| JobSpec::new(gen::random_symmetric(n, 120 + s), method.clone(), false))
+        .collect();
+    let (admitted, shed) = svc.submit_open_loop(specs, 0.0);
+    assert!(
+        admitted.windows(2).all(|w| w[0].0 < w[1].0),
+        "admitted indices come back in submission order"
+    );
+    assert_eq!(admitted.len() as u64 + shed, 16);
+    assert!(
+        svc.wait_quiescent(Duration::from_secs(120)),
+        "service failed to quiesce"
+    );
+    let stats = svc.shutdown();
+    assert_eq!(stats.ledger.shed, shed);
+    assert_eq!(stats.ledger.submitted, 16);
+}

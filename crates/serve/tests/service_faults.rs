@@ -98,8 +98,8 @@ fn silent_perturbation_is_detected_and_retried() {
 /// A whole seed-derived campaign (one fault armed per site) against a
 /// multi-job workload: every job must end terminal within its deadline,
 /// every completed job bitwise-matches the direct path, and the ledger
-/// conserves. This is the in-tree miniature of `repro fault_campaign
-/// --serve`.
+/// conserves. This is the in-tree miniature of `serve_fault_campaign` in
+/// the root `tests/serve_gates.rs`.
 #[test]
 fn campaign_workload_quiesces_with_clean_results() {
     let _g = serial();

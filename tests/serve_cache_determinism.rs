@@ -1,7 +1,7 @@
 //! Tier-1 determinism contract for the content-addressed result cache
 //! (ISSUE 8): the PR 7 job set — submitted **twice**, so the second pass
 //! repeats every problem — served with the cache off and on, under
-//! `TG_THREADS ∈ {1, 2, 4, 7}` with the fixed `TG_FAULT_SEED` campaign
+//! `TG_THREADS ∈ {1, 2, 4, 7}` with a fixed-seed fault campaign
 //! armed, must produce across all **eight** configurations:
 //!
 //! * bitwise-identical eigenvalue (and eigenvector) outputs for every
@@ -14,8 +14,8 @@
 //!   that a faulted attempt never reaches the cache (`verify_hits`
 //!   re-solves every hit and asserts bitwise equality).
 //!
-//! One `#[test]`: the runs mutate process-global env (`TG_THREADS`,
-//! `TG_FAULT_SEED`) and arm process-global check sessions.
+//! One `#[test]`: the runs mutate process-global env (`TG_THREADS`) and
+//! arm process-global check sessions.
 
 use std::time::Duration;
 
@@ -52,17 +52,15 @@ struct RunOutput {
 
 fn run_config(threads: usize, cached: bool, method: &EvdMethod) -> RunOutput {
     std::env::set_var("TG_THREADS", threads.to_string());
-    std::env::set_var("TG_FAULT_SEED", FAULT_SEED.to_string());
-    let plan = FaultPlan::from_env().expect("TG_FAULT_SEED just set");
+    let plan = FaultPlan::campaign(FAULT_SEED);
     let session = CheckSession::begin(CheckConfig::fast().with_faults(plan));
 
     let svc = JobService::start(ServeConfig {
         workers: 0, // resolve from TG_THREADS
         queue_cap: 2 * JOBS,
         default_deadline: Duration::from_secs(300),
-        max_retries: 3,
+        max_retries: 4,
         retry_backoff: Duration::from_micros(100),
-        serial_fallback: true,
         cache_bytes: if cached { 8 * 1024 * 1024 } else { 0 },
         dedup: cached,
         // Every hit re-solves through the reference path and panics on a
@@ -97,7 +95,6 @@ fn run_config(threads: usize, cached: bool, method: &EvdMethod) -> RunOutput {
     let stats = svc.shutdown();
     drop(session.finish());
     std::env::remove_var("TG_THREADS");
-    std::env::remove_var("TG_FAULT_SEED");
 
     let l = stats.ledger;
     assert!(l.balanced());
@@ -186,10 +183,7 @@ fn cache_on_and_off_are_bitwise_identical_across_worker_counts() {
         // runs really did retry faulted attempts, and (verify_hits) every
         // hit handed out afterwards was re-proved bitwise-clean: a
         // faulted attempt's bytes never entered the cache.
-        assert!(
-            run.stats.retries >= 1,
-            "TG_FAULT_SEED campaign never fired ({tag})"
-        );
+        assert!(run.stats.retries >= 1, "fault campaign never fired ({tag})");
     }
 
     // Identical final status tables across all eight configurations.

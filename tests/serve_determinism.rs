@@ -1,6 +1,6 @@
 //! Tier-1 determinism contract for the job service (ISSUE 7 satellite):
 //! the *same* job set, served under `TG_THREADS ∈ {1, 2, 4, 7}` with a
-//! fixed `TG_FAULT_SEED` campaign armed, must produce
+//! fixed-seed fault campaign armed, must produce
 //!
 //! * bitwise-identical eigenvalue (and eigenvector) outputs for every
 //!   job, identical to the direct `syevd` path, and
@@ -44,17 +44,15 @@ struct RunOutput {
 
 fn run_with_threads(threads: usize, method: &EvdMethod) -> RunOutput {
     std::env::set_var("TG_THREADS", threads.to_string());
-    std::env::set_var("TG_FAULT_SEED", FAULT_SEED.to_string());
-    let plan = FaultPlan::from_env().expect("TG_FAULT_SEED just set");
+    let plan = FaultPlan::campaign(FAULT_SEED);
     let session = CheckSession::begin(CheckConfig::fast().with_faults(plan));
 
     let svc = JobService::start(ServeConfig {
         workers: 0, // resolve from TG_THREADS — the knob under test
         queue_cap: JOBS,
         default_deadline: Duration::from_secs(300),
-        max_retries: 3,
+        max_retries: 4,
         retry_backoff: Duration::from_micros(100),
-        serial_fallback: true,
         ..ServeConfig::default()
     })
     .expect("valid TG_THREADS must be accepted");
@@ -81,7 +79,6 @@ fn run_with_threads(threads: usize, method: &EvdMethod) -> RunOutput {
     let stats = svc.shutdown();
     drop(session.finish());
     std::env::remove_var("TG_THREADS");
-    std::env::remove_var("TG_FAULT_SEED");
 
     assert!(stats.ledger.balanced());
     RunOutput {
@@ -143,7 +140,7 @@ fn identical_job_sets_are_bitwise_identical_across_worker_counts() {
     for run in &runs {
         assert!(
             run.retries >= 1,
-            "TG_FAULT_SEED campaign never fired under TG_THREADS={}",
+            "fault campaign never fired under TG_THREADS={}",
             run.threads
         );
     }
