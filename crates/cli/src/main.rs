@@ -483,20 +483,21 @@ fn main() {
             let report = with_trace(&o, || {
                 with_check(&o, || {
                     let svc = tg_serve::JobService::start(cfg).unwrap_or_else(|e| fail(e));
+                    let workers = svc.workers();
                     let outcome = drive_open_loop(&svc, specs, o.rate_hz, o.deadline_ms);
                     let table = tg_serve::render_status_table(&svc.status_table());
                     let stats = svc.shutdown();
-                    (outcome, table, stats)
+                    (outcome, table, stats, workers)
                 })
             });
-            let ((admitted, shed, latencies), table, stats) = report;
+            let ((admitted, shed, latencies), table, stats, workers) = report;
             print!("{table}");
             let l = stats.ledger;
             eprintln!(
                 "served {} submissions on {} worker(s): {} completed, {} failed, \
                  {} shed ({} admitted), {} retr{}",
                 l.submitted,
-                o.threads.max(1),
+                workers,
                 l.completed,
                 l.failed,
                 l.shed,

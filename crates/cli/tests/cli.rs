@@ -201,6 +201,20 @@ fn info_reports_shared_thread_helper() {
     assert!(text.contains("worker threads: 3 (TG_THREADS)"), "{text}");
 }
 
+/// Without `--threads`, the serve summary reports the worker count the
+/// service resolved (here from `TG_THREADS`), not a placeholder of 1.
+#[test]
+fn serve_summary_reports_resolved_worker_count() {
+    let out = bin()
+        .env("TG_THREADS", "2")
+        .args(["serve", "--jobs", "4", "--n", "16", "--rate-hz", "0"])
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    let text = String::from_utf8_lossy(&out.stderr);
+    assert!(text.contains("submissions on 2 worker(s)"), "{text}");
+}
+
 #[test]
 fn info_reports_gemm_kernel_and_rejects_unknown_names() {
     let f = tmp("kern.mtx");

@@ -149,8 +149,10 @@ pub fn release_blocks(blocks: Vec<(usize, WyPair)>, pool: &mut AllocPool) {
 }
 
 /// Per-lane scratch for the panel loop: one grow-only buffer per worker
-/// lane, kept across calls. Each panel zero-fills the prefix it uses, so
-/// no panel can read bits a previous panel (or problem) left behind.
+/// lane, kept across calls. It is never re-zeroed: every kernel that takes
+/// it (the narrow run's row-major load, a wide block's `β = 0` `YᵀC`)
+/// writes each element before reading it, so no panel can read bits a
+/// previous panel (or problem) left behind.
 #[derive(Default)]
 pub struct PanelPools {
     lanes: Vec<Vec<f64>>,
@@ -176,7 +178,7 @@ impl PanelPools {
 /// [`tg_blas::threads::run_tasks`].
 ///
 /// The blocks are shared read-only; each panel applies the full product in
-/// reverse order with one zero-filled scratch from its lane's buffer in
+/// reverse order with one scratch from its lane's buffer in
 /// `panel_pools` (the row-major copy of a run of narrow blocks, or a wide
 /// block's `YᵀC`).
 /// Panel boundaries are independent of `workers`, so the
@@ -233,8 +235,9 @@ pub(crate) fn apply_blocks_panels_with_kernel(
 /// One panel's work: the full ordered product, reverse order. Maximal
 /// runs of consecutive narrow blocks go through the fused row-major
 /// kernel; every other block through [`WyPair::apply_left_in`], on
-/// exactly the rows it acts on. One zeroed scratch in `buf` serves both:
-/// the row-major copy of a run, or a wide block's `YᵀC`.
+/// exactly the rows it acts on. One scratch in `buf`, grown but not
+/// cleared, serves both: the row-major copy of a run, or a wide block's
+/// `YᵀC`.
 fn apply_blocks_to_panel(
     blocks: &[(usize, WyPair)],
     panel: &mut MatMut<'_>,
@@ -244,9 +247,10 @@ fn apply_blocks_to_panel(
     let cols = panel.ncols();
     let widest = blocks.iter().map(|(_, f)| f.width()).max().unwrap_or(0);
     let len = (panel.nrows() * narrow::row_stride(cols)).max(widest * cols);
-    buf.clear();
-    buf.resize(len, 0.0);
-    let scratch = buf.as_mut_slice();
+    if buf.len() < len {
+        buf.resize(len, 0.0);
+    }
+    let scratch = &mut buf[..len];
     let mut end = blocks.len();
     while end > 0 {
         let run_is_narrow = is_narrow(&blocks[end - 1].1);

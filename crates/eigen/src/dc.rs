@@ -2,29 +2,51 @@
 //! (`dstedc` analogue) — the iterative method the paper couples with its
 //! tridiagonalization for end-to-end EVD (§6.2).
 //!
-//! Splitting: `T = diag(T₁, T₂) + β q qᵀ` with `q = e_m + e_{m+1}`, where
-//! the halves get `β` subtracted from the boundary diagonals. After the
-//! children are solved, the merge solves `D + ρ z zᵀ`:
+//! Splitting (as LAPACK's `dlaed0`): `T = diag(T₁, T₂) + |β| v vᵀ` with
+//! `v = e_m + sign(β)·e_{m+1}`, where the halves get `|β|` subtracted from
+//! their boundary diagonals. After the children are solved, the merge
+//! (`dlaed1`–`dlaed3`) solves `D + ρ z zᵀ` with `ρ = |β|·‖z‖² ≥ 0`:
 //!
 //! 1. deflation — negligible `z` components pass through unchanged, and
 //!    (near-)equal `d` pairs are rotated together (Givens) so one of them
 //!    deflates,
 //! 2. the secular equation gives the non-deflated eigenvalues
-//!    ([`crate::secular`]),
+//!    ([`crate::secular`], `dlaed4`'s middle-way iteration),
 //! 3. the Gu–Eisenstat `z̃` reconstruction gives numerically orthogonal
-//!    eigenvectors, and one GEMM maps them back through the children's `Q`.
+//!    eigenvectors, and two GEMMs map them back through the children's `Q`.
+//!
+//! **Column classes.** A column of the children's block-diagonal `Q` is
+//! nonzero only in the top `m` rows (a column of `Q₁`) or only in the
+//! bottom `n − m` rows (`Q₂`), unless a deflation rotation mixed a top
+//! column with a bottom one: the survivor is then nonzero in both. The
+//! merge tags every non-deflated column top, bottom or mixed, packs the
+//! top rows of the top and mixed columns and the bottom rows of the mixed
+//! and bottom columns, and runs one GEMM per half. That is
+//! `2n(m² + (n−m)²)` flops when nothing deflates, half of the dense
+//! `n × n × n` product.
+//!
+//! **Workspace.** [`stedc`] allocates the output `Q` and one scratch of
+//! `n(n + 1)` values (LAPACK's `Q2`) for the whole recursion. Each child
+//! solves straight into its diagonal block of the parent's `Q` (the
+//! blocks off the diagonal stay zero until the parent's merge overwrites
+//! them) and gets its own slice of the parent's scratch, so the two
+//! halves of the top split share no memory. Deflation and the ascending
+//! sort are index permutations: the merge writes every output column
+//! once, at its sorted position, so each level returns its pairs sorted.
 //!
 //! The two children are solved as a two-task fan-out on
 //! [`tg_blas::threads::run_tasks`]; workers of a multi-lane fan-out enter
 //! the nested-parallelism region, so only the top split runs in parallel
 //! and the recursion below it (and its merge GEMMs) stays on its lane.
 
+use std::ops::Range;
+
 use crate::secular;
 use crate::steqr::steqr;
 use crate::EigenError;
-use tg_blas::threads::{run_tasks, Spans};
+use tg_blas::threads::{gemm_threads, run_tasks, Spans};
 use tg_blas::{gemm, Op};
-use tg_matrix::{Mat, Tridiagonal};
+use tg_matrix::{Mat, MatMut, MatRef, Tridiagonal};
 
 /// Below this size the base-case QL iteration is used (LAPACK's `SMLSIZ`).
 pub const SMLSIZ: usize = 24;
@@ -44,80 +66,111 @@ pub const SMLSIZ: usize = 24;
 /// ```
 pub fn stedc(t: &Tridiagonal) -> Result<(Vec<f64>, Mat), EigenError> {
     let n = t.n();
+    let mut d = t.d.clone();
+    let mut q = Mat::zeros(n, n);
     if n == 0 {
-        return Ok((Vec::new(), Mat::zeros(0, 0)));
+        return Ok((d, q));
     }
-    dc_solve(&t.d, &t.e)
+    let mut scratch = vec![0.0; if n > SMLSIZ { n * (n + 1) } else { 0 }];
+    dc_solve(&mut d, &t.e, q.as_mut(), &mut scratch)?;
+    Ok((d, q))
 }
 
-fn dc_solve(d: &[f64], e: &[f64]) -> Result<(Vec<f64>, Mat), EigenError> {
+/// Solves the tridiagonal `(d, e)` in place: `d` becomes the eigenvalues,
+/// ascending, and `q` (zero on entry) the eigenvectors. Above [`SMLSIZ`],
+/// `scratch` holds at least `n(n + 1)` values.
+fn dc_solve(
+    d: &mut [f64],
+    e: &[f64],
+    mut q: MatMut<'_>,
+    scratch: &mut [f64],
+) -> Result<(), EigenError> {
     let n = d.len();
     if n <= SMLSIZ {
-        return steqr(&Tridiagonal::new(d.to_vec(), e.to_vec()));
+        let (values, vectors) = steqr(&Tridiagonal::new(d.to_vec(), e.to_vec()))?;
+        d.copy_from_slice(&values);
+        q.copy_from(&vectors.as_ref());
+        return Ok(());
     }
     let m = n / 2;
     let beta = e[m - 1];
-
-    // children with rank-one-corrected boundary diagonals
-    let mut d1 = d[..m].to_vec();
-    d1[m - 1] -= beta;
-    let e1 = e[..m - 1].to_vec();
-    let mut d2 = d[m..].to_vec();
-    d2[0] -= beta;
-    let e2 = e[m..].to_vec();
+    d[m - 1] -= beta.abs();
+    d[m] -= beta.abs();
 
     let spans = Spans {
         region: "parallel.dc",
         worker: "dc.worker",
         task: "task.dc_half",
     };
-    let halves = vec![(d1, e1), (d2, e2)];
-    let mut lanes = vec![(); tg_blas::threads::gemm_threads()];
-    let mut solved = run_tasks(spans, halves, &mut lanes, |_, (d, e)| dc_solve(&d, &e)).into_iter();
-    let (lam1, q1) = solved.next().expect("left half")?;
-    let (lam2, q2) = solved.next().expect("right half")?;
-
-    // block-diagonal Q, concatenated spectra, and the coupling vector
-    // z = Qᵀ q = [last row of Q₁ ; first row of Q₂]
-    let mut q = Mat::zeros(n, n);
-    q.view_mut(0, 0, m, m).copy_from(&q1.as_ref());
-    q.view_mut(m, m, n - m, n - m).copy_from(&q2.as_ref());
-    let mut dd = Vec::with_capacity(n);
-    dd.extend_from_slice(&lam1);
-    dd.extend_from_slice(&lam2);
-    let mut z = Vec::with_capacity(n);
-    for j in 0..m {
-        z.push(q1[(m - 1, j)]);
+    // m(m + 1) + (n − m)(n − m + 1) ≤ n(n + 1): the halves' scratch fits
+    let (d1, d2) = d.split_at_mut(m);
+    let (s1, s2) = scratch.split_at_mut(m * (m + 1));
+    let (left, right) = q.rb_mut().split_at_col(m);
+    let halves = vec![
+        (d1, &e[..m - 1], left.submatrix_mut(0, 0, m, m), s1),
+        (d2, &e[m..], right.submatrix_mut(m, 0, n - m, n - m), s2),
+    ];
+    let mut lanes = vec![(); gemm_threads()];
+    for solved in run_tasks(spans, halves, &mut lanes, |_, (d, e, q, s)| {
+        dc_solve(d, e, q, s)
+    }) {
+        solved?;
     }
-    for j in 0..(n - m) {
-        z.push(q2[(0, j)]);
-    }
-
-    merge(dd, z, beta, q)
+    merge(d, m, beta, q, scratch)
 }
 
-/// Solves `D + ρ z zᵀ` given the accumulated `Q` (eigenvectors returned are
-/// `Q`-transformed). Consumes and returns sorted output.
-fn merge(
-    mut d: Vec<f64>,
-    mut z: Vec<f64>,
-    rho_in: f64,
-    q: Mat,
-) -> Result<(Vec<f64>, Mat), EigenError> {
-    let n = d.len();
-    if rho_in == 0.0 {
-        return sort_pairs(d, q);
-    }
-    // flip the problem so ρ > 0 (eigenvectors are unchanged under negation)
-    let flip = rho_in < 0.0;
-    let mut rho = rho_in;
-    if flip {
-        for di in &mut d {
-            *di = -*di;
+/// The rows of the children's `Q` a column is nonzero in.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Rows {
+    Top,
+    Bottom,
+    Mixed,
+}
+
+impl Rows {
+    fn union(self, other: Rows) -> Rows {
+        if self == other {
+            self
+        } else {
+            Rows::Mixed
         }
-        rho = -rho;
     }
-    // normalize ‖z‖ = 1 (fold the norm into ρ) for scale-free tolerances
+
+    fn range(self, m: usize, n: usize) -> Range<usize> {
+        match self {
+            Rows::Top => 0..m,
+            Rows::Bottom => m..n,
+            Rows::Mixed => 0..n,
+        }
+    }
+}
+
+/// Merges two solved halves coupled by `β`: on entry `d[..m]`/`d[m..]`
+/// hold the children's ascending eigenvalues and `q`'s diagonal blocks
+/// their eigenvectors (the off-diagonal blocks zero); on exit `d` and `q`
+/// hold the merged pairs, ascending. `scratch` holds `n(n + 1)` values.
+fn merge(
+    d: &mut [f64],
+    m: usize,
+    beta: f64,
+    mut q: MatMut<'_>,
+    scratch: &mut [f64],
+) -> Result<(), EigenError> {
+    let n = d.len();
+    check_finite(d)?;
+    // z = Qᵀv = [last row of Q₁ ; sign(β)·first row of Q₂], normalized,
+    // with ‖z‖² folded into ρ for scale-free tolerances
+    let sign = if beta < 0.0 { -1.0 } else { 1.0 };
+    let mut z: Vec<f64> = (0..n)
+        .map(|j| {
+            if j < m {
+                q.at(m - 1, j)
+            } else {
+                sign * q.at(m, j)
+            }
+        })
+        .collect();
+    let mut rho = beta.abs();
     let znorm2: f64 = z.iter().map(|x| x * x).sum();
     if znorm2 > 0.0 {
         let zn = znorm2.sqrt();
@@ -127,103 +180,169 @@ fn merge(
         rho *= znorm2;
     }
 
-    // sort d ascending; `cols[p]` maps position → column of q
-    check_finite(&d)?;
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by(|&a, &b| d[a].partial_cmp(&d[b]).expect("checked finite"));
-    let ds: Vec<f64> = order.iter().map(|&i| d[i]).collect();
-    let zs: Vec<f64> = order.iter().map(|&i| z[i]).collect();
-    let mut qs = Mat::zeros(n, n);
-    for (p, &i) in order.iter().enumerate() {
-        qs.col_mut(p).copy_from_slice(q.col(i));
-    }
-    let mut d = ds;
-    let mut z = zs;
-    let mut q = qs;
+    // positions in ascending order of d: `col[p]` is the column of q at
+    // position p
+    let mut col: Vec<usize> = (0..n).collect();
+    col.sort_by(|&a, &b| d[a].partial_cmp(&d[b]).expect("checked finite"));
+    let mut ds: Vec<f64> = col.iter().map(|&i| d[i]).collect();
+    let mut zs: Vec<f64> = col.iter().map(|&i| z[i]).collect();
+    let mut rows: Vec<Rows> = col
+        .iter()
+        .map(|&i| if i < m { Rows::Top } else { Rows::Bottom })
+        .collect();
 
     // ── deflation
-    let dmax = d.iter().fold(0.0f64, |m, &x| m.max(x.abs()));
+    let dmax = ds.iter().fold(0.0f64, |a, &x| a.max(x.abs()));
     let tol = 8.0 * f64::EPSILON * dmax.max(rho);
     let mut active: Vec<usize> = Vec::with_capacity(n);
     let mut deflated: Vec<usize> = Vec::new();
-    for i in 0..n {
-        if rho * z[i].abs() <= tol {
-            // negligible coupling: (d_i, q_i) is already an eigenpair
-            deflated.push(i);
+    for p in 0..n {
+        if rho * zs[p].abs() <= tol {
+            // negligible coupling: (d_p, q_p) is already an eigenpair
+            deflated.push(p);
             continue;
         }
         if let Some(&last) = active.last() {
-            if d[i] - d[last] <= tol {
-                // near-equal eigenvalues: rotate z_i into z_last
-                let r = z[last].hypot(z[i]);
-                let c = z[last] / r;
-                let s = z[i] / r;
-                z[last] = r;
-                z[i] = 0.0;
-                // rotate the two Q columns
-                for row in 0..n {
-                    let a = q[(row, last)];
-                    let b = q[(row, i)];
-                    q[(row, last)] = c * a + s * b;
-                    q[(row, i)] = -s * a + c * b;
+            if ds[p] - ds[last] <= tol {
+                // near-equal eigenvalues: rotate z_p into z_last
+                let r = zs[last].hypot(zs[p]);
+                let c = zs[last] / r;
+                let s = zs[p] / r;
+                zs[last] = r;
+                zs[p] = 0.0;
+                // rotate the two Q columns over the rows either is
+                // nonzero in
+                let mixed = rows[last].union(rows[p]);
+                let (jl, jp) = (col[last], col[p]);
+                for i in mixed.range(m, n) {
+                    let a = q.at(i, jl);
+                    let b = q.at(i, jp);
+                    *q.at_mut(i, jl) = c * a + s * b;
+                    *q.at_mut(i, jp) = -s * a + c * b;
                 }
+                rows[last] = mixed;
                 // rotate the 2×2 diagonal block; the off-diagonal (≤ tol)
                 // is dropped
-                let (dl, di) = (d[last], d[i]);
-                d[last] = c * c * dl + s * s * di;
-                d[i] = s * s * dl + c * c * di;
-                deflated.push(i);
+                let (dl, dp) = (ds[last], ds[p]);
+                ds[last] = c * c * dl + s * s * dp;
+                ds[p] = s * s * dl + c * c * dp;
+                deflated.push(p);
                 continue;
             }
         }
-        active.push(i);
+        active.push(p);
     }
 
     let a = active.len();
-    let mut eigenvalues = vec![0.0; n];
-    let mut vectors = Mat::zeros(n, n);
+    let d_act: Vec<f64> = active.iter().map(|&p| ds[p]).collect();
+    let z_act: Vec<f64> = active.iter().map(|&p| zs[p]).collect();
+    let roots = if a > 0 {
+        secular::solve_all(&d_act, &z_act, rho)
+    } else {
+        Vec::new()
+    };
+    // the output order: `order[pos]` is a root (index < a) or a deflated
+    // pair (a + its index in `deflated`)
+    let values: Vec<f64> = roots
+        .iter()
+        .map(|r| r.value(&d_act))
+        .chain(deflated.iter().map(|&p| ds[p]))
+        .collect();
+    check_finite(&values)?;
+    let mut order: Vec<usize> = (0..n).collect();
+    order.sort_by(|&x, &y| values[x].partial_cmp(&values[y]).expect("checked finite"));
+
+    // Pack the GEMM operands: the top rows of the top and mixed columns,
+    // the bottom rows of the mixed and bottom columns, each as secular
+    // indices in ascending order. The deflated columns follow, whole.
+    let top: Vec<usize> = (0..a)
+        .filter(|&s| rows[active[s]] != Rows::Bottom)
+        .collect();
+    let bot: Vec<usize> = (0..a).filter(|&s| rows[active[s]] != Rows::Top).collect();
+    let (n12, n23) = (top.len(), bot.len());
+    // m·n12 + (n − m)·n23 ≤ n·a, so the rest holds the n − a deflated
+    // columns
+    let (packed, rest) = scratch.split_at_mut(m * n12 + (n - m) * n23);
+    let (a_top, a_bot) = packed.split_at_mut(m * n12);
+    for (dst, &s) in a_top.chunks_exact_mut(m).zip(&top) {
+        dst.copy_from_slice(&q.col(col[active[s]])[..m]);
+    }
+    for (dst, &s) in a_bot.chunks_exact_mut(n - m).zip(&bot) {
+        dst.copy_from_slice(&q.col(col[active[s]])[m..]);
+    }
+    for (dst, &p) in rest.chunks_exact_mut(n).zip(&deflated) {
+        dst.copy_from_slice(q.col(col[p]));
+    }
+    // q's columns are all packed: write the deflated pairs at their sorted
+    // positions
+    let mut pos_of = vec![0; a];
+    for (pos, &src) in order.iter().enumerate() {
+        if src < a {
+            pos_of[src] = pos;
+        } else {
+            let j = src - a;
+            q.col_mut(pos).copy_from_slice(&rest[j * n..(j + 1) * n]);
+        }
+    }
 
     if a > 0 {
-        let d_act: Vec<f64> = active.iter().map(|&i| d[i]).collect();
-        let z_act: Vec<f64> = active.iter().map(|&i| z[i]).collect();
-        let roots = secular::solve_all(&d_act, &z_act, rho);
         let zt = secular::refine_z(&d_act, rho, &roots, &z_act);
-        // secular eigenvectors, then one GEMM through the active Q columns
-        let mut v = Mat::zeros(a, a);
+        // The secular eigenvectors' `top` rows go into q's bottom rows
+        // under each root's output column (n12 ≤ m ≤ n − m): the top GEMM
+        // reads them there before the bottom GEMM overwrites them. Their
+        // `bot` rows go to the scratch, over the consumed deflated copies:
+        // m·n12 + (n − m)·n23 + n23·a ≤ n(n + 1).
+        let v_bot = &mut rest[..n23 * a];
+        let mut v = vec![0.0; a];
         for (k, root) in roots.iter().enumerate() {
-            let vk = secular::eigenvector(&d_act, &zt, root);
-            v.col_mut(k).copy_from_slice(&vk);
+            secular::eigenvector(&d_act, &zt, root, &mut v);
+            let out = &mut q.col_mut(pos_of[k])[m..m + n12];
+            for (o, &s) in out.iter_mut().zip(&top) {
+                *o = v[s];
+            }
+            for (o, &s) in v_bot[k * n23..(k + 1) * n23].iter_mut().zip(&bot) {
+                *o = v[s];
+            }
         }
-        let mut q_act = Mat::zeros(n, a);
-        for (p, &i) in active.iter().enumerate() {
-            q_act.col_mut(p).copy_from_slice(q.col(i));
-        }
-        let mut new_vecs = Mat::zeros(n, a);
-        gemm(
-            1.0,
-            &q_act.as_ref(),
-            Op::NoTrans,
-            &v.as_ref(),
-            Op::NoTrans,
-            0.0,
-            &mut new_vecs.as_mut(),
-        );
-        for k in 0..a {
-            eigenvalues[k] = roots[k].value(&d_act);
-            vectors.col_mut(k).copy_from_slice(new_vecs.col(k));
+        let a_top = MatRef::from_parts(m, n12, m, a_top);
+        let a_bot = MatRef::from_parts(n - m, n23, n - m, a_bot);
+        let v_bot = MatRef::from_parts(n23, a, n23.max(1), v_bot);
+        // one GEMM pair per run of roots whose output columns are adjacent
+        let mut k0 = 0;
+        while k0 < a {
+            let mut len = 1;
+            while k0 + len < a && pos_of[k0 + len] == pos_of[k0] + len {
+                len += 1;
+            }
+            let run = q.rb_mut().submatrix_mut(0, pos_of[k0], n, len);
+            let (mut top_out, mut bot_out) = run.split_at_row(m);
+            let v_top = bot_out.rb().submatrix(0, 0, n12, len);
+            gemm(
+                1.0,
+                &a_top,
+                Op::NoTrans,
+                &v_top,
+                Op::NoTrans,
+                0.0,
+                &mut top_out,
+            );
+            let v_run = v_bot.submatrix(0, k0, n23, len);
+            gemm(
+                1.0,
+                &a_bot,
+                Op::NoTrans,
+                &v_run,
+                Op::NoTrans,
+                0.0,
+                &mut bot_out,
+            );
+            k0 += len;
         }
     }
-    for (p, &i) in deflated.iter().enumerate() {
-        eigenvalues[a + p] = d[i];
-        vectors.col_mut(a + p).copy_from_slice(q.col(i));
+    for (dst, &src) in d.iter_mut().zip(&order) {
+        *dst = values[src];
     }
-
-    if flip {
-        for ev in &mut eigenvalues {
-            *ev = -*ev;
-        }
-    }
-    sort_pairs(eigenvalues, vectors)
+    Ok(())
 }
 
 /// The sorts' precondition: a NaN or Inf (from a non-finite input or a
@@ -236,20 +355,6 @@ fn check_finite(values: &[f64]) -> Result<(), EigenError> {
         Some(index) => Err(EigenError::NoConvergence { index }),
         None => Ok(()),
     }
-}
-
-/// Sorts `(values, vector columns)` ascending by value.
-fn sort_pairs(values: Vec<f64>, vecs: Mat) -> Result<(Vec<f64>, Mat), EigenError> {
-    check_finite(&values)?;
-    let n = values.len();
-    let mut idx: Vec<usize> = (0..n).collect();
-    idx.sort_by(|&x, &y| values[x].partial_cmp(&values[y]).expect("checked finite"));
-    let sorted: Vec<f64> = idx.iter().map(|&i| values[i]).collect();
-    let mut out = Mat::zeros(vecs.nrows(), n);
-    for (p, &i) in idx.iter().enumerate() {
-        out.col_mut(p).copy_from_slice(vecs.col(i));
-    }
-    Ok((sorted, out))
 }
 
 #[cfg(test)]

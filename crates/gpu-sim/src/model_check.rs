@@ -187,6 +187,52 @@ pub fn check_batched_evd(n: usize, count: usize) -> Vec<ModelRow> {
     }]
 }
 
+/// Flops of `stedc`'s merge GEMMs when nothing deflates. Each merge of
+/// `n = m + (n − m)` rows runs one GEMM per half over all `n` roots,
+/// `2n(m² + (n − m)²)`, and the recursion stops at the
+/// [`tg_eigen::dc::SMLSIZ`] leaves, which count nothing.
+fn stedc_merge_flops(n: usize) -> f64 {
+    if n <= tg_eigen::dc::SMLSIZ {
+        return 0.0;
+    }
+    let m = n / 2;
+    let (mf, rf) = (m as f64, (n - m) as f64);
+    2.0 * n as f64 * (mf * mf + rf * rf) + stedc_merge_flops(m) + stedc_merge_flops(n - m)
+}
+
+/// Reconciles `stedc`'s traced flops with the closed form
+/// `Σ 2n(m² + (n − m)²)` over its merges, **exactly**. Only the merge GEMMs count [`Counter::Flops`] inside the
+/// solve, and a deflated column drops out of both GEMMs, so equality also
+/// asserts that no merge deflated. The input is a weakly disordered chain
+/// (random diagonal of width 0.5, unit couplings): its eigenvectors
+/// spread over the whole chain at these sizes, so every coupling vector
+/// `z` is dense. A uniform random tridiagonal would not do: its
+/// eigenvectors are localized, and its merges deflate at every seed.
+pub fn check_stedc(n: usize) -> Vec<ModelRow> {
+    let t = gen::tight_binding_1d(n, 1.0, 0.5, 81);
+    let trace = measure(|| {
+        // One lane, so every merge GEMM counts into this thread's span,
+        // where no other thread's kernels can add to it.
+        let _one_lane = tg_blas::threads::enter_parallel_region();
+        let _span = tg_trace::span("model_check.stedc");
+        tg_eigen::stedc(&t).expect("stedc converges on a random tridiagonal");
+    });
+    let measured: u64 = trace
+        .events
+        .iter()
+        .filter(|e| e.name == "model_check.stedc")
+        .map(|e| e.counter(Counter::Flops))
+        .sum();
+    vec![ModelRow {
+        kernel: "stedc",
+        shape: (n, 0, 0),
+        quantity: "flops",
+        measured: measured as f64,
+        modeled: stedc_merge_flops(n),
+        tol: 0.0,
+    }]
+}
+
 /// Tolerated relative disagreement between the trace-derived average
 /// parallelism and the simulator's analytic occupancy. The traced value
 /// integrates per-sweep virtual spans (whose durations include mid-sweep
@@ -710,6 +756,15 @@ mod tests {
                 assert_eq!(r.measured, r.modeled, "{:?}", r.shape);
                 assert!(r.modeled > 0.0);
             }
+        }
+    }
+
+    #[test]
+    fn stedc_flops_reconcile_exactly() {
+        for n in [100usize, 200] {
+            let rows = check_stedc(n);
+            assert_eq!(rows[0].measured, rows[0].modeled, "n = {n}");
+            assert!(rows[0].modeled > 0.0);
         }
     }
 
