@@ -665,6 +665,7 @@ fn model_vs_measured() {
     rows.extend(model_check::check_backtransform(96, 8, 32));
     rows.extend(model_check::check_q2_apply(96, 8, 32));
     rows.extend(model_check::check_stedc(200));
+    rows.extend(model_check::check_bc(200, 16));
     rows.extend(model_check::check_stage1_overlap(72, 8, 16));
     print!("{}", model_check::report(&rows));
     if rows.iter().any(|r| !r.within_tolerance()) {

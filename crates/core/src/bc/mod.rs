@@ -6,10 +6,14 @@
 //!
 //! * [`seq`] — sequential reference implementation,
 //! * [`pipeline`] — the paper's **Algorithm 2**: sweeps run concurrently,
-//!   sweep `s` spinning on an atomic progress flag until sweep `s − 1` is at
-//!   least `2b` rows ahead. On a GPU each sweep is a thread block; here each
-//!   sweep is a task executed by a worker-thread pool, which exercises the
-//!   identical synchronisation protocol.
+//!   sweep `s` waiting on an atomic progress flag until sweep `s − 1` is at
+//!   least `2b` rows ahead. On a GPU each sweep is a thread block; here
+//!   sweeps run round-robin on at most `gemm_threads()` lanes (one at
+//!   `TG_THREADS=1` or inside another fan-out), which exercises the
+//!   identical synchronisation protocol,
+//! * [`kernels`] — one task of a sweep: its window copied into a dense
+//!   tile, the four steps (right apply, reflector, left apply, two-sided
+//!   update) run as unit-stride loops over it, the tile written back once.
 //!
 //! Both paths produce **bitwise-identical** results: the dependency protocol
 //! makes every task's inputs independent of scheduling.
@@ -18,6 +22,8 @@ pub mod backward;
 pub mod kernels;
 pub mod pipeline;
 pub mod seq;
+#[cfg(target_arch = "x86_64")]
+mod simd;
 
 pub use pipeline::bulge_chase_pipelined;
 pub use seq::bulge_chase_seq;

@@ -3,7 +3,7 @@
 //! Sweeps run one after another; this is the arithmetic ground truth the
 //! pipelined implementation must reproduce bitwise.
 
-use super::kernels::{run_sweep, SharedBand};
+use super::kernels::{run_sweep, LaneScratch, SharedBand};
 use super::BcResult;
 use tg_matrix::SymBand;
 
@@ -33,10 +33,11 @@ pub fn bulge_chase_seq(band: &SymBand) -> BcResult {
         let _span = tg_trace::span_cat("bc.seq", "stage", Some(("n", n as u64)));
         let shared = SharedBand::new(&mut work);
         if b > 1 && n > 2 {
+            let mut scratch = LaneScratch::new(b);
             for s in 0..n - 2 {
                 let _sweep = tg_trace::span_cat("bc.sweep", "sweep", Some(("s", s as u64)));
                 // SAFETY: single-threaded — exclusive access trivially holds.
-                let swept = unsafe { run_sweep(&shared, b, s, |_| {}) };
+                let swept = unsafe { run_sweep(&shared, b, s, &mut scratch, |_| {}) };
                 reflectors.push(swept);
             }
         }

@@ -11,7 +11,11 @@
 //!
 //! Each check runs its own [`tg_trace::TraceSession`]; do not call these
 //! functions while another session is already open on this thread (the
-//! global session lock is not reentrant).
+//! global session lock is not reentrant). A session records every
+//! thread in the process, so the exact rows read only the spans their own
+//! calls opened (`measure_own`): kernels that other threads run at the
+//! same time, such as concurrent tests, add to the session's totals but
+//! not to those spans.
 
 use crate::kernels;
 use tg_blas::Op;
@@ -65,6 +69,92 @@ fn measure<F: FnOnce()>(f: F) -> tg_trace::Trace {
     session.finish()
 }
 
+/// The span [`measure_own`] wraps its call in.
+const OWN_SPAN: &str = "model_check.own";
+
+/// Traces `f` inside a span of its own on the calling thread; [`Own`]
+/// then reads what `f` did out of the trace.
+fn measure_own<F: FnOnce()>(f: F) -> tg_trace::Trace {
+    measure(|| {
+        let _own = tg_trace::span(OWN_SPAN);
+        f();
+    })
+}
+
+/// What one [`measure_own`] call did, in a session that every thread of
+/// the process records into: the threads it ran on (the caller, and each
+/// lane spawned by a fan-out that one of them opened) and the fan-out
+/// regions they opened, matched by region id and thread.
+struct Own<'a> {
+    trace: &'a tg_trace::Trace,
+    span: &'a tg_trace::Event,
+    threads: Vec<u64>,
+    regions: Vec<u64>,
+    /// The `worker` span of every spawned lane: a spawned lane counts
+    /// into its own worker span, not into the caller's span.
+    lanes: Vec<&'a tg_trace::Event>,
+}
+
+impl<'a> Own<'a> {
+    fn of(trace: &'a tg_trace::Trace) -> Self {
+        let span = trace
+            .events
+            .iter()
+            .find(|e| e.name == OWN_SPAN)
+            .expect("measure_own records its span");
+        let mut own = Own {
+            trace,
+            span,
+            threads: vec![span.tid],
+            regions: Vec::new(),
+            lanes: Vec::new(),
+        };
+        let mut next = 0;
+        while let Some(&tid) = own.threads.get(next) {
+            next += 1;
+            let opened: Vec<u64> = trace
+                .events
+                .iter()
+                .filter(|e| e.tid == tid && e.cat == "region" && !e.virtual_time)
+                .filter_map(|e| e.region)
+                .collect();
+            for lane in trace.events.iter().filter(|e| {
+                e.cat == "worker" && e.tid != tid && e.region.is_some_and(|r| opened.contains(&r))
+            }) {
+                own.lanes.push(lane);
+                if !own.threads.contains(&lane.tid) {
+                    own.threads.push(lane.tid);
+                }
+            }
+            own.regions.extend(opened);
+        }
+        own
+    }
+
+    /// Counter `c` over the call.
+    fn total(&self, c: Counter) -> u64 {
+        self.span.counter(c) + self.lanes.iter().map(|l| l.counter(c)).sum::<u64>()
+    }
+
+    /// The wall-clock spans the call's threads recorded.
+    fn events(&self) -> impl Iterator<Item = &'a tg_trace::Event> + '_ {
+        let trace: &'a tg_trace::Trace = self.trace;
+        trace
+            .events
+            .iter()
+            .filter(|e| !e.virtual_time && self.threads.contains(&e.tid))
+    }
+
+    /// The call's fan-out regions named `name`.
+    fn regions(&self, name: &str) -> Vec<tg_trace::RegionUtilization> {
+        self.trace
+            .region_utilization()
+            .into_iter()
+            .filter(|r| r.name == name && self.regions.contains(&r.region))
+            .collect()
+    }
+}
+
 /// Runs both `syr2k` variants on an `n × n` update of rank `2k` and
 /// compares counted FLOPs against [`kernels::syr2k_flops`], exactly: the
 /// GEMM-built diagonal blocks count their useful triangle, not the square
@@ -76,27 +166,27 @@ pub fn check_syr2k(n: usize, k: usize) -> Vec<ModelRow> {
     let mut rows = Vec::new();
 
     let mut c = gen::random_symmetric(n, 13);
-    let t = measure(|| {
+    let t = measure_own(|| {
         tg_blas::syr2k_blocked(-1.0, &z.as_ref(), &y.as_ref(), 1.0, &mut c.as_mut(), 32);
     });
     rows.push(ModelRow {
         kernel: "syr2k_blocked",
         shape: (n, 0, k),
         quantity: "flops",
-        measured: t.total(Counter::Flops) as f64,
+        measured: Own::of(&t).total(Counter::Flops) as f64,
         modeled,
         tol: 0.0,
     });
 
     let mut c = gen::random_symmetric(n, 13);
-    let t = measure(|| {
+    let t = measure_own(|| {
         tg_blas::syr2k_square(-1.0, &z.as_ref(), &y.as_ref(), 1.0, &mut c.as_mut(), 32, 2);
     });
     rows.push(ModelRow {
         kernel: "syr2k_square",
         shape: (n, 0, k),
         quantity: "flops",
-        measured: t.total(Counter::Flops) as f64,
+        measured: Own::of(&t).total(Counter::Flops) as f64,
         modeled,
         tol: 0.0,
     });
@@ -112,14 +202,14 @@ pub fn check_symm(n: usize, k: usize) -> Vec<ModelRow> {
     let a = gen::random_symmetric(n, 31);
     let b = gen::random(n, k, 32);
     let mut c = tg_matrix::Mat::zeros(n, k);
-    let t = measure(|| {
+    let t = measure_own(|| {
         tg_blas::level3::symm_lower(1.0, &a.as_ref(), &b.as_ref(), 0.0, &mut c.as_mut());
     });
     vec![ModelRow {
         kernel: "symm",
         shape: (n, 0, k),
         quantity: "flops",
-        measured: t.total(Counter::Flops) as f64,
+        measured: Own::of(&t).total(Counter::Flops) as f64,
         modeled: 2.0 * n as f64 * n as f64 * k as f64,
         tol: 0.0,
     }]
@@ -131,16 +221,17 @@ pub fn check_symm(n: usize, k: usize) -> Vec<ModelRow> {
 pub fn check_gemm(m: usize, n: usize, k: usize) -> Vec<ModelRow> {
     let a = gen::random(m, k, 21);
     let b = gen::random(k, n, 22);
-    let t = measure(|| {
+    let t = measure_own(|| {
         let _ = tg_blas::gemm_into(1.0, &a.as_ref(), Op::NoTrans, &b.as_ref(), Op::NoTrans);
     });
-    let bytes_measured = t.total(Counter::BytesRead) + t.total(Counter::BytesWritten);
+    let own = Own::of(&t);
+    let bytes_measured = own.total(Counter::BytesRead) + own.total(Counter::BytesWritten);
     vec![
         ModelRow {
             kernel: "gemm",
             shape: (m, n, k),
             quantity: "flops",
-            measured: t.total(Counter::Flops) as f64,
+            measured: own.total(Counter::Flops) as f64,
             modeled: 2.0 * m as f64 * n as f64 * k as f64,
             tol: TOLERANCE,
         },
@@ -168,12 +259,12 @@ pub fn check_batched_evd(n: usize, count: usize) -> Vec<ModelRow> {
     let a = gen::random_symmetric(n, 41);
     let problems = vec![a.clone(); count];
 
-    let t1 = measure(|| {
+    let t1 = measure_own(|| {
         let _ = syevd(&mut a.clone(), &method, false);
     });
-    let single_flops = t1.total(Counter::Flops) as f64;
+    let single_flops = Own::of(&t1).total(Counter::Flops) as f64;
 
-    let tb = measure(|| {
+    let tb = measure_own(|| {
         let _ = BatchScheduler::new(1).syevd(&problems, &method, false);
     });
 
@@ -181,7 +272,7 @@ pub fn check_batched_evd(n: usize, count: usize) -> Vec<ModelRow> {
         kernel: "batched_evd",
         shape: (n, count, 0),
         quantity: "flops",
-        measured: tb.total(Counter::Flops) as f64,
+        measured: Own::of(&tb).total(Counter::Flops) as f64,
         modeled: count as f64 * single_flops,
         tol: TOLERANCE,
     }]
@@ -210,25 +301,81 @@ fn stedc_merge_flops(n: usize) -> f64 {
 /// eigenvectors are localized, and its merges deflate at every seed.
 pub fn check_stedc(n: usize) -> Vec<ModelRow> {
     let t = gen::tight_binding_1d(n, 1.0, 0.5, 81);
-    let trace = measure(|| {
-        // One lane, so every merge GEMM counts into this thread's span,
-        // where no other thread's kernels can add to it.
+    let trace = measure_own(|| {
+        // One lane, so every merge GEMM counts into this thread's span.
         let _one_lane = tg_blas::threads::enter_parallel_region();
-        let _span = tg_trace::span("model_check.stedc");
         tg_eigen::stedc(&t).expect("stedc converges on a random tridiagonal");
     });
-    let measured: u64 = trace
-        .events
-        .iter()
-        .filter(|e| e.name == "model_check.stedc")
-        .map(|e| e.counter(Counter::Flops))
-        .sum();
+    let measured = Own::of(&trace).total(Counter::Flops);
     vec![ModelRow {
         kernel: "stedc",
         shape: (n, 0, 0),
         quantity: "flops",
         measured: measured as f64,
         modeled: stedc_merge_flops(n),
+        tol: 0.0,
+    }]
+}
+
+/// Flops of bulge chasing an `n × n` band of bandwidth `b`, as the task
+/// kernel counts them: `4mk` per reflector applied to an `m × k` block
+/// and `4m²` per two-sided update of an `m × m` diagonal block, for every
+/// reflector of length `m ≥ 2` (a length-1 reflector is the identity).
+///
+/// Sweep `s` covers the `R = n − 1 − s` rows below its diagonal entry.
+/// Its task 0 builds a reflector of `m₀ = min(b, R)` rows and applies it
+/// two-sidedly; each later task right-applies the previous reflector
+/// (`k` = its length) to the `m` rows below, annihilates that block's
+/// first column and applies the new reflector to the other `k − 1`
+/// columns and two-sidedly: full tasks of `b` rows, then the remainder.
+pub fn bc_flops(n: usize, b: usize) -> f64 {
+    if b < 2 || n < 3 {
+        return 0.0;
+    }
+    let refl = |m: usize| m >= 2;
+    let task = |m: usize, k: usize| -> usize {
+        let right = if refl(k) { 4 * m * k } else { 0 };
+        let own = if refl(m) {
+            4 * m * (k - 1) + 4 * m * m
+        } else {
+            0
+        };
+        right + own
+    };
+    let sweep = |r: usize| -> usize {
+        let m0 = b.min(r);
+        let (full, rem) = ((r - m0) / b, (r - m0) % b);
+        let mut flops = if refl(m0) { 4 * m0 * m0 } else { 0 };
+        let mut k = m0;
+        if full > 0 {
+            flops += task(b, m0) + (full - 1) * task(b, b);
+            k = b;
+        }
+        if rem > 0 {
+            flops += task(rem, k);
+        }
+        flops
+    };
+    (0..n - 2).map(|s| sweep(n - 1 - s) as f64).sum()
+}
+
+/// Reconciles bulge chasing's traced flops with [`bc_flops`], **exactly**,
+/// on a random band (whose reflectors of length ≥ 2 all have `τ ≠ 0`).
+/// `bulge_chase_pipelined(.., 4)` runs inside a parallel region, so it
+/// takes one lane on the calling thread and every task counts into this
+/// check's own span.
+pub fn check_bc(n: usize, b: usize) -> Vec<ModelRow> {
+    let band = tg_matrix::SymBand::from_dense_lower(&gen::random_symmetric_band(n, b, 83), b);
+    let t = measure_own(|| {
+        let _one_lane = tg_blas::threads::enter_parallel_region();
+        tridiag_core::bulge_chase_pipelined(&band, 4);
+    });
+    vec![ModelRow {
+        kernel: "bc",
+        shape: (n, b, 0),
+        quantity: "flops",
+        measured: Own::of(&t).total(Counter::Flops) as f64,
+        modeled: bc_flops(n, b),
         tol: 0.0,
     }]
 }
@@ -295,13 +442,12 @@ pub fn check_utilization(n: usize, b: usize, s_max: usize) -> Vec<ModelRow> {
         let workers = 2usize;
         let problems: Vec<_> = (0..4).map(|s| gen::random_symmetric(24, 61 + s)).collect();
         let method = Method::paper_default(24);
-        let tb = measure(|| {
+        let tb = measure_own(|| {
             let _ = BatchScheduler::new(workers).tridiagonalize(&problems, &method);
         });
-        let region_workers = tb
-            .region_utilization()
-            .iter()
-            .find(|r| r.name == "parallel.batch")
+        let region_workers = Own::of(&tb)
+            .regions("parallel.batch")
+            .first()
             .map(|r| r.workers as f64)
             .unwrap_or(0.0);
         rows.push(ModelRow {
@@ -348,15 +494,15 @@ pub fn check_backtransform(n: usize, b: usize, k: usize) -> Vec<ModelRow> {
     let mut c = gen::random(n, n, 72);
     let mut pool = AllocPool;
     let mut panel_pools = PanelPools::new();
-    let t = measure(|| {
+    let t = measure_own(|| {
         let blocks = merge_q1_blocked_ws(&factors, k, &mut pool);
         apply_blocks_panels(&blocks, &mut c, workers, &mut panel_pools);
         release_blocks(blocks, &mut pool);
     });
-    let (lanes, tasks) = t
-        .region_utilization()
-        .into_iter()
-        .find(|r| r.name == "parallel.backtransform")
+    let own = Own::of(&t);
+    let (lanes, tasks) = own
+        .regions("parallel.backtransform")
+        .first()
         .map(|r| (r.workers as f64, r.tasks as f64))
         .unwrap_or((0.0, 0.0));
     vec![
@@ -364,7 +510,7 @@ pub fn check_backtransform(n: usize, b: usize, k: usize) -> Vec<ModelRow> {
             kernel: "backtransform",
             shape: (n, b, k),
             quantity: "merge_flops",
-            measured: t.total(Counter::MergeFlops) as f64,
+            measured: own.total(Counter::MergeFlops) as f64,
             modeled: modeled_flops,
             tol: TOLERANCE,
         },
@@ -417,11 +563,10 @@ pub fn check_q2_apply(n: usize, b: usize, k: usize) -> Vec<ModelRow> {
     let mut blocks = merge_q1_blocked_ws(&red.factors, k, &mut AllocPool);
     blocks.extend(q2);
     let mut c = gen::random(n, n, 74);
-    let t = measure(|| apply_blocks_panels(&blocks, &mut c, 2, &mut PanelPools::new()));
+    let t = measure_own(|| apply_blocks_panels(&blocks, &mut c, 2, &mut PanelPools::new()));
     release_blocks(blocks, &mut AllocPool);
-    let measured: u64 = t
-        .events
-        .iter()
+    let measured: u64 = Own::of(&t)
+        .events()
         .filter(|e| e.name == "backtransform.apply_narrow")
         .map(|e| e.counter(Counter::Flops))
         .sum();
@@ -468,27 +613,19 @@ pub fn check_stage1_overlap(n: usize, b: usize, k: usize) -> Vec<ModelRow> {
 
     let lanes_per_region = tg_blas::threads::gemm_threads().min(2);
     let mut a = gen::random_symmetric(n, 91);
-    let t = measure(|| {
+    let t = measure_own(|| {
         let _ = dbbr_ws(&mut a, &cfg, &mut AllocPool);
     });
+    let own = Own::of(&t);
 
-    let regions = t
-        .events
-        .iter()
-        .filter(|e| e.name == "parallel.stage1")
-        .count();
+    let regions = own.events().filter(|e| e.name == "parallel.stage1").count();
     let flops_of = |name: &str| -> f64 {
-        t.events
-            .iter()
+        own.events()
             .filter(|e| e.name == name)
             .map(|e| e.counter(Counter::Flops) as f64)
             .sum()
     };
-    let stage1_regions: Vec<_> = t
-        .region_utilization()
-        .into_iter()
-        .filter(|r| r.name == "parallel.stage1")
-        .collect();
+    let stage1_regions = own.regions("parallel.stage1");
     let lanes: usize = stage1_regions.iter().map(|r| r.workers).sum();
     let tasks: usize = stage1_regions.iter().map(|r| r.tasks).sum();
 
@@ -566,11 +703,13 @@ pub fn check_checker_overhead(n: usize) -> Vec<ModelRow> {
 
     let timed_flops = || -> (f64, f64) {
         let mut work = a.clone();
-        let session = TraceSession::begin();
-        let t0 = std::time::Instant::now();
-        let _ = tridiagonalize(&mut work, &method);
-        let secs = t0.elapsed().as_secs_f64();
-        (secs, session.finish().total(Counter::Flops) as f64)
+        let mut secs = 0.0;
+        let t = measure_own(|| {
+            let t0 = std::time::Instant::now();
+            let _ = tridiagonalize(&mut work, &method);
+            secs = t0.elapsed().as_secs_f64();
+        });
+        (secs, Own::of(&t).total(Counter::Flops) as f64)
     };
     // dormant run: open and immediately finish a session so the hook path
     // has seen an armed-then-disarmed lifecycle, then reduce with checks off
@@ -766,6 +905,19 @@ mod tests {
             assert_eq!(rows[0].measured, rows[0].modeled, "n = {n}");
             assert!(rows[0].modeled > 0.0);
         }
+    }
+
+    #[test]
+    fn bc_flops_reconcile_exactly() {
+        for (n, b) in [(96usize, 8usize), (100, 32), (37, 5), (20, 19)] {
+            let rows = check_bc(n, b);
+            assert_eq!(rows[0].measured, rows[0].modeled, "n = {n}, b = {b}");
+            assert!(rows[0].modeled > 0.0);
+        }
+        // About 6bn² at n ≫ b (twelve b² per task, n/b tasks per sweep).
+        let ratio = bc_flops(2048, 32) / (6.0 * 32.0 * 2048.0 * 2048.0);
+        assert!((0.95..1.0).contains(&ratio), "{ratio}");
+        assert_eq!(bc_flops(10, 1), 0.0);
     }
 
     #[test]
