@@ -1,23 +1,18 @@
 //! BLAS level-3: general and symmetric matrix-matrix multiply.
 #![allow(clippy::needless_range_loop)] // index loops mirror the blocked-GEMM formulation
 //!
-//! [`gemm`] has a single dispatch at every thread count (see
-//! `docs/PERFORMANCE.md` for the decision tree): compute-bound shapes go to
-//! the packed register-blocked kernel in [`crate::pack`], which handles its
-//! own `ic`-strip parallelism; only degenerate/skinny shapes fall back to
-//! the column-oriented axpy kernel here, whose hot loops run over
-//! contiguous column slices so bounds checks vanish (Rust Performance Book
-//! guidance), fanned out over output-column blocks above a size threshold.
-//!
-//! The packed path runs the process's SIMD micro-kernel
-//! ([`crate::kernel::kernel`]: AVX-512F or AVX2+FMA where the CPU has
-//! them, scalar otherwise or under `TG_KERNEL=scalar`); the column kernel
-//! here is plain scalar Rust on every host. [`symm_lower`] is built from
-//! the same dispatch, three GEMMs per block column. Every entry point
-//! follows the BLAS convention for `β = 0`: `C` is overwritten without
-//! being read, so a NaN or Inf already in the output does not survive.
+//! [`gemm`] has one kernel path: every shape and op pair, down to `1 × 1`
+//! outputs and rank-1 products, runs the packed register-blocked kernel in
+//! [`crate::pack`], whose `MR × NR` tiles take the ragged edges and whose
+//! `ic`-strip fan-out is the only one (see `docs/PERFORMANCE.md`). That
+//! kernel is the process's SIMD micro-kernel ([`crate::kernel::kernel`]:
+//! AVX-512F or AVX2+FMA where the CPU has them, scalar otherwise or under
+//! `TG_KERNEL=scalar`). [`symm_lower`] is three packed GEMMs per block
+//! column. Every entry point follows the BLAS convention for `β = 0`: `C`
+//! is overwritten without being read, so a NaN or Inf already in the
+//! output does not survive.
 
-use crate::threads::{run_tasks, Spans};
+use crate::pack::gemm_packed;
 use tg_matrix::{Mat, MatMut, MatRef};
 
 /// Transpose selector for [`gemm`] operands.
@@ -49,9 +44,6 @@ impl Op {
     }
 }
 
-/// Minimum output element count before the kernel fans out to rayon.
-const PAR_THRESHOLD: usize = 128 * 128;
-
 /// FLOP/byte accounting for one logical GEMM (`2mnk` flops; operands read
 /// once, `C` read and written once). Counted at the leaf kernels only, so
 /// blocked drivers that decompose into GEMM calls are not double-counted,
@@ -82,12 +74,11 @@ pub(crate) fn scale_by_beta(beta: f64, c: &mut MatMut<'_>) {
     }
 }
 
-/// Column-block width processed per parallel task.
-const JB: usize = 64;
-
 /// `C ← α·op(A)·op(B) + β·C`.
 ///
-/// Shapes: `op(A)` is `m × k`, `op(B)` is `k × n`, `C` is `m × n`.
+/// Shapes: `op(A)` is `m × k`, `op(B)` is `k × n`, `C` is `m × n`. Every
+/// shape and op pair runs [`crate::pack::gemm_packed`]; this entry point
+/// adds only the `2mnk` flop/byte accounting.
 pub fn gemm(
     alpha: f64,
     a: &MatRef<'_>,
@@ -101,142 +92,7 @@ pub fn gemm(
     if alpha != 0.0 && m > 0 && n > 0 && k > 0 {
         count_gemm(m, n, k);
     }
-    gemm_uncounted(alpha, a, op_a, b, op_b, beta, c);
-}
-
-/// [`gemm`] without its flop/byte accounting, for the drivers that count
-/// their own convention ([`symm_lower`] its `2n²k`, the `syr2k` diagonal
-/// blocks their useful triangle) so the leaves are not counted twice.
-pub(crate) fn gemm_uncounted(
-    alpha: f64,
-    a: &MatRef<'_>,
-    op_a: Op,
-    b: &MatRef<'_>,
-    op_b: Op,
-    beta: f64,
-    c: &mut MatMut<'_>,
-) {
-    let m = op_a.rows(a);
-    let k = op_a.cols(a);
-    let n = op_b.cols(b);
-    assert_eq!(op_b.rows(b), k, "inner dimensions disagree");
-    assert_eq!(c.nrows(), m, "C row count");
-    assert_eq!(c.ncols(), n, "C column count");
-
-    scale_by_beta(beta, c);
-    if alpha == 0.0 || m == 0 || n == 0 || k == 0 {
-        return;
-    }
-
-    // Compute-bound shapes go to the packed register-blocked kernel, which
-    // parallelizes internally over ic strips; the thresholds keep tiny and
-    // degenerate/skinny problems (where packing traffic would dominate) on
-    // the column kernel. Trans×Trans always packs: pack_a/pack_b transpose
-    // during the copy, so no op(A) materialization is needed.
-    let work = m * n * k;
-    if (work >= 32 * 32 * 32 && m.min(n).min(k) >= 8) || (op_a == Op::Trans && op_b == Op::Trans) {
-        return crate::pack::gemm_packed(alpha, a, op_a, b, op_b, 1.0, c);
-    }
-
-    let threads = (m * n >= PAR_THRESHOLD)
-        .then(crate::threads::gemm_threads)
-        .unwrap_or(1);
-    if threads > 1 {
-        // Disjoint column blocks of C; each column's arithmetic is the same
-        // whichever block (and thread) computes it.
-        let spans = Spans {
-            region: "parallel.gemm_cols",
-            worker: "gemm.worker",
-            task: "task.gemm_cols",
-        };
-        run_tasks(
-            spans,
-            par_col_blocks(c, JB),
-            &mut vec![(); threads],
-            |_, (j0, mut cb)| gemm_block(alpha, a, op_a, b, op_b, j0, &mut cb),
-        );
-    } else {
-        gemm_block(alpha, a, op_a, b, op_b, 0, c);
-    }
-}
-
-/// Splits a mutable view into `(start_col, block)` pairs of width ≤ `jb`.
-fn par_col_blocks<'a>(c: &'a mut MatMut<'_>, jb: usize) -> Vec<(usize, MatMut<'a>)> {
-    let n = c.ncols();
-    let mut out = Vec::with_capacity(n.div_ceil(jb));
-    let mut rest = c.rb_mut();
-    let mut j0 = 0;
-    while j0 < n {
-        let w = jb.min(n - j0);
-        let (head, tail) = rest.split_at_col(w);
-        out.push((j0, head));
-        rest = tail;
-        j0 += w;
-    }
-    out
-}
-
-/// Computes `C_block += α·op(A)·op(B)[:, j0..j0+nb]` where `cb` is the block
-/// of `C` starting at global column `j0`.
-fn gemm_block(
-    alpha: f64,
-    a: &MatRef<'_>,
-    op_a: Op,
-    b: &MatRef<'_>,
-    op_b: Op,
-    j0: usize,
-    cb: &mut MatMut<'_>,
-) {
-    let m = cb.nrows();
-    let nb = cb.ncols();
-    let k = op_a.cols(a);
-    match (op_a, op_b) {
-        (Op::NoTrans, Op::NoTrans) => {
-            // C[:,j] += α Σ_l A[:,l] · B[l,j]  — axpy per (l, j)
-            for jj in 0..nb {
-                let j = j0 + jj;
-                let bj = b.col(j);
-                let cj = cb.col_mut(jj);
-                for l in 0..k {
-                    let s = alpha * bj[l];
-                    if s != 0.0 {
-                        let al = a.col(l);
-                        for i in 0..m {
-                            cj[i] += s * al[i];
-                        }
-                    }
-                }
-            }
-        }
-        (Op::NoTrans, Op::Trans) => {
-            // op(B)[l,j] = B[j,l]: same axpy pattern, B indexed by row.
-            for jj in 0..nb {
-                let j = j0 + jj;
-                let cj = cb.col_mut(jj);
-                for l in 0..k {
-                    let s = alpha * b.at(j, l);
-                    if s != 0.0 {
-                        let al = a.col(l);
-                        for i in 0..m {
-                            cj[i] += s * al[i];
-                        }
-                    }
-                }
-            }
-        }
-        (Op::Trans, Op::NoTrans) => {
-            // C[i,j] += α · dot(A[:,i], B[:,j]) — both unit stride.
-            for jj in 0..nb {
-                let j = j0 + jj;
-                let bj = b.col(j);
-                let cj = cb.col_mut(jj);
-                for i in 0..m {
-                    cj[i] += alpha * crate::level1::dot(a.col(i), bj);
-                }
-            }
-        }
-        (Op::Trans, Op::Trans) => unreachable!("TT dispatches to the packed kernel in gemm()"),
-    }
+    gemm_packed(alpha, a, op_a, b, op_b, beta, c);
 }
 
 /// Convenience: allocates and returns `α·op(A)·op(B)`.
@@ -293,7 +149,7 @@ pub const SYMM_NB: usize = 128;
 /// of `A`: `C ← α·A·B + β·C` with `A` symmetric `n × n`, `B`, `C` `n × k`.
 ///
 /// Walks `A` in block columns of width [`SYMM_NB`]; each one is three
-/// GEMMs on [`gemm`]'s dispatch (see [`symm_lower_ws`]). Allocates the
+/// packed GEMMs (see [`symm_lower_ws`]). Allocates the
 /// mirror scratch; [`symm_lower_ws`] takes it from the caller instead.
 pub fn symm_lower(alpha: f64, a: &MatRef<'_>, b: &MatRef<'_>, beta: f64, c: &mut MatMut<'_>) {
     let w = SYMM_NB.min(a.nrows());
@@ -355,23 +211,24 @@ pub fn symm_lower_ws(
         }
         let (d, bd) = (d.rb(), b.submatrix(j0, 0, w, k));
         let (mut c_top, mut c_below) = c.rb_mut().submatrix_mut(j0, 0, n - j0, k).split_at_row(w);
-        gemm_uncounted(alpha, &d, Op::NoTrans, &bd, Op::NoTrans, 1.0, &mut c_top);
+        gemm_packed(alpha, &d, Op::NoTrans, &bd, Op::NoTrans, 1.0, &mut c_top);
         if h > 0 {
             let l = a.submatrix(j0 + w, j0, h, w);
             let bl = b.submatrix(j0 + w, 0, h, k);
-            gemm_uncounted(alpha, &l, Op::NoTrans, &bd, Op::NoTrans, 1.0, &mut c_below);
-            gemm_uncounted(alpha, &l, Op::Trans, &bl, Op::NoTrans, 1.0, &mut c_top);
+            gemm_packed(alpha, &l, Op::NoTrans, &bd, Op::NoTrans, 1.0, &mut c_below);
+            gemm_packed(alpha, &l, Op::Trans, &bl, Op::NoTrans, 1.0, &mut c_top);
         }
         j0 += w;
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use tg_matrix::gen;
 
-    fn naive_gemm(a: &Mat, op_a: Op, b: &Mat, op_b: Op) -> Mat {
+    /// `op(A)·op(B)` by the textbook triple loop.
+    pub(crate) fn naive_gemm(a: &Mat, op_a: Op, b: &Mat, op_b: Op) -> Mat {
         let av = a.as_ref();
         let bv = b.as_ref();
         let m = op_a.rows(&av);
@@ -430,37 +287,29 @@ mod tests {
         check_all_ops(5, 7, 4, 10);
         check_all_ops(1, 1, 1, 11);
         check_all_ops(8, 3, 9, 12);
+        // Outputs shorter or narrower than one MR × NR tile, which write
+        // back only a tile's corner, and small squares of long rank.
+        for (i, (m, n, k)) in [
+            (25, 1, 160),
+            (1, 1, 48),
+            (3, 1, 224),
+            (1, 7, 33),
+            (16, 16, 112),
+            (12, 12, 84),
+            (16, 32, 16),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            check_all_ops(m, n, k, 100 + 3 * i as u64);
+        }
     }
 
     #[test]
     fn gemm_rectangular_medium() {
         check_all_ops(33, 17, 21, 20);
-    }
-
-    #[test]
-    fn gemm_parallel_path_matches() {
-        // large enough to cross PAR_THRESHOLD
-        let m = 150;
-        let n = 150;
-        let k = 40;
-        let a = gen::random(m, k, 30);
-        let b = gen::random(k, n, 31);
-        let mut c = Mat::zeros(m, n);
-        gemm(
-            1.0,
-            &a.as_ref(),
-            Op::NoTrans,
-            &b.as_ref(),
-            Op::NoTrans,
-            0.0,
-            &mut c.as_mut(),
-        );
-        let p = naive_gemm(&a, Op::NoTrans, &b, Op::NoTrans);
-        for j in 0..n {
-            for i in 0..m {
-                assert!((c[(i, j)] - p[(i, j)]).abs() < 1e-10);
-            }
-        }
+        // several MC-row strips, so the ic fan-out partitions
+        check_all_ops(150, 150, 40, 30);
     }
 
     #[test]
@@ -486,7 +335,8 @@ mod tests {
     fn gemm_beta_zero_overwrites_nan() {
         // BLAS contract: beta == 0 ⇒ C is overwritten, never read, so a NaN
         // or Inf already in the output buffer must not survive. Checked on
-        // every entry point and on both the packed and the column path.
+        // both entry points, on a product inside one micro-tile and on one
+        // that spans several tiles in each direction.
         type Gemm = fn(f64, &MatRef<'_>, Op, &MatRef<'_>, Op, f64, &mut MatMut<'_>);
         let entries: [(&str, Gemm); 2] =
             [("gemm", gemm), ("gemm_packed", crate::pack::gemm_packed)];

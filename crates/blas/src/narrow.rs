@@ -3,11 +3,11 @@
 //! The bulge-chasing back transformation applies thousands of staircase
 //! blocks, each at most [`MAX_WIDTH`] reflectors wide and a few dozen
 //! rows tall, to every eigenvector panel. Through [`crate::gemm`] each
-//! block is two products far below the packed-kernel threshold, so both
-//! run on the scalar column kernel. Here a panel of at most [`MAX_COLS`]
-//! columns is copied **once** into row-major scratch, where one panel row
-//! is a few SIMD vectors, and every block of a run is applied with its
-//! `X = YᵀC` held in registers:
+//! block is two tiny products, each packing its operands and padding them
+//! to a whole micro-tile for a few dozen multiply-adds. Here a panel of at
+//! most [`MAX_COLS`] columns is copied **once** into row-major scratch,
+//! where one panel row is a few SIMD vectors, and every block of a run is
+//! applied with its `X = YᵀC` held in registers:
 //!
 //! 1. `X = YᵀC`: each `X` element is one multiply-add chain over the
 //!    block's rows in ascending order, starting from zero;

@@ -1,11 +1,12 @@
-//! Packed, register-blocked GEMM — serial and multithreaded.
+//! Packed, register-blocked GEMM — serial and multithreaded — the one
+//! kernel behind every [`crate::gemm`].
 //!
-//! The column-oriented kernel in [`crate::level3`] is simple and correct
-//! but leaves register reuse on the table. This module implements the
-//! classic three-loop blocked GEMM with operand packing (Goto-style):
+//! The classic three-loop blocked GEMM with operand packing (Goto-style):
 //! `A` panels are packed into row-major micro-panels of height `MR`, `B`
 //! panels into column-major micro-panels of width `NR`, and an `MR × NR`
-//! micro-kernel accumulates into registers.
+//! micro-kernel accumulates into registers. Every shape runs here: an
+//! output shorter than `MR` or narrower than `NR` is one zero-padded
+//! micro-panel whose tile writes back only its `h × w` corner.
 //!
 //! Three micro-kernels share the packing and blocking (see
 //! `docs/PERFORMANCE.md` for the table and measurements):
@@ -588,7 +589,7 @@ fn macro_kernel<K: MicroKernel>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::level3::gemm;
+    use crate::level3::{gemm, tests::naive_gemm};
     use tg_matrix::{gen, Mat};
 
     /// `(MR, NR)` of a kernel.
@@ -655,18 +656,18 @@ mod tests {
         c
     }
 
+    /// `α·op(A)·op(B) + β·C₀` by the textbook triple loop.
+    fn naive(alpha: f64, [a, b, c0]: &[Mat; 3], op_a: Op, op_b: Op, beta: f64) -> Mat {
+        let p = naive_gemm(a, op_a, b, op_b);
+        Mat::from_fn(c0.nrows(), c0.ncols(), |i, j| {
+            alpha * p[(i, j)] + beta * c0[(i, j)]
+        })
+    }
+
     fn check(m: usize, n: usize, k: usize, op_a: Op, op_b: Op, seed: u64) {
-        let [a, b, c0] = operands(m, n, k, op_a, op_b, seed);
-        let mut c_ref = c0.clone();
-        gemm(
-            1.3,
-            &a.as_ref(),
-            op_a,
-            &b.as_ref(),
-            op_b,
-            -0.5,
-            &mut c_ref.as_mut(),
-        );
+        let ops = operands(m, n, k, op_a, op_b, seed);
+        let c_ref = naive(1.3, &ops, op_a, op_b, -0.5);
+        let [a, b, c0] = &ops;
         let mut c_pk = c0.clone();
         gemm_packed(
             1.3,
@@ -714,8 +715,8 @@ mod tests {
         let big_b = gen::random(40, 40, 31);
         let a = big_a.view(3, 5, 20, 12);
         let b = big_b.view(1, 2, 12, 18);
-        let mut c1 = Mat::zeros(20, 18);
-        gemm(1.0, &a, Op::NoTrans, &b, Op::NoTrans, 0.0, &mut c1.as_mut());
+        let ops = [a.to_mat(), b.to_mat(), Mat::zeros(20, 18)];
+        let c1 = naive(1.0, &ops, Op::NoTrans, Op::NoTrans, 0.0);
         let mut c2 = Mat::zeros(20, 18);
         gemm_packed(1.0, &a, Op::NoTrans, &b, Op::NoTrans, 0.0, &mut c2.as_mut());
         assert!(tg_matrix::max_abs_diff(&c1, &c2) < 1e-11);

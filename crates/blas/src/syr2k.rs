@@ -17,7 +17,7 @@
 //!   `sb × sb` GEMM pair. All off-diagonal blocks are independent, so they
 //!   run as one task list on [`crate::threads::run_tasks`].
 
-use crate::level3::{gemm, gemm_uncounted, Op};
+use crate::level3::{gemm, Op};
 use crate::threads::{run_tasks, Spans};
 use tg_matrix::{MatMut, MatRef};
 
@@ -105,15 +105,9 @@ pub fn syr2k_diag(
         );
     }
     let mut t = MatMut::from_parts(n, n, n, &mut scratch[..n * n]);
-    // Diagonal blocks are small squares of a long rank (DBBR's trailing
-    // update ends in one b × b block of rank ≈ 7b): below `gemm`'s
-    // packed-path work threshold, yet the packed kernel runs them 3–6×
-    // faster than its column kernel from eight rows up.
-    if n >= 8 {
-        crate::pack::gemm_packed(alpha, a, Op::NoTrans, b, Op::Trans, 0.0, &mut t);
-    } else {
-        gemm_uncounted(alpha, a, Op::NoTrans, b, Op::Trans, 0.0, &mut t);
-    }
+    // The packed kernel itself, not `gemm`: the useful triangle is counted
+    // above, so the square product must not be counted again.
+    crate::pack::gemm_packed(alpha, a, Op::NoTrans, b, Op::Trans, 0.0, &mut t);
     for j in 0..n {
         let cj = &mut c.col_mut(j)[j..];
         for (di, cij) in cj.iter_mut().enumerate() {

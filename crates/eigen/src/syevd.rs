@@ -165,7 +165,11 @@ impl Evd {
 ///
 /// A NaN or infinity in the lower triangle is rejected with
 /// [`EigenError::NonFiniteInput`] before any reduction; the strict upper
-/// triangle is never read.
+/// triangle is never read. As in LAPACK `dsyevd`, a lower triangle whose
+/// max-abs norm lies outside `[√smlnum, √bignum]` (about `1e±146`) is
+/// scaled into that window by a power of two, and the eigenvalues are
+/// scaled back; eigenvectors need no unscaling, and input inside the window
+/// is not touched, so it keeps every bit.
 ///
 /// ```
 /// use tg_eigen::{syevd, EvdMethod};
@@ -180,8 +184,22 @@ impl Evd {
 /// assert!(evd.residual(&a) < 1e-11);
 /// ```
 pub fn syevd(a: &mut Mat, method: &EvdMethod, want_vectors: bool) -> Result<Evd, EigenError> {
-    let n = a.nrows();
     check_finite_lower(a)?;
+    let e = scale_exponent(a);
+    if e != 0 {
+        scale_lower(a, pow2(e));
+    }
+    let mut evd = solve(a, method, want_vectors)?;
+    if e != 0 {
+        let s = pow2(-e);
+        evd.eigenvalues.iter_mut().for_each(|x| *x *= s);
+    }
+    Ok(evd)
+}
+
+/// [`syevd`] on finite, in-window input.
+fn solve(a: &mut Mat, method: &EvdMethod, want_vectors: bool) -> Result<Evd, EigenError> {
+    let n = a.nrows();
     let _evd = tg_trace::span_cat("evd", "stage", Some(("n", n as u64)));
     let res = {
         let _span = tg_trace::span("evd.reduce");
@@ -239,6 +257,36 @@ fn check_finite_lower(a: &Mat) -> Result<(), EigenError> {
         }
     }
     Ok(())
+}
+
+/// The `e` with `2ᵉ·‖tril(A)‖_max` inside LAPACK `dsyevd`'s window
+/// `[√smlnum, √bignum]`, `smlnum = safmin/ε = 2⁻⁹⁷⁰`; `0` when the norm
+/// already lies in it (or is zero).
+fn scale_exponent(a: &Mat) -> i32 {
+    let anrm = (0..a.ncols().min(a.nrows()))
+        .flat_map(|j| &a.col(j)[j..])
+        .fold(0.0f64, |m, x| m.max(x.abs()));
+    let rmin = pow2(-485);
+    let rmax = pow2(485);
+    if anrm > 0.0 && anrm < rmin {
+        (rmin / anrm).log2().ceil() as i32
+    } else if anrm > rmax {
+        (rmax / anrm).log2().floor() as i32
+    } else {
+        0
+    }
+}
+
+/// `2ᵉ` for a normal exponent (`|e| ≤ 1022`).
+fn pow2(e: i32) -> f64 {
+    f64::from_bits(((1023 + e) as u64) << 52)
+}
+
+/// Multiplies the lower triangle of `a` by `s`.
+fn scale_lower(a: &mut Mat, s: f64) {
+    for j in 0..a.ncols().min(a.nrows()) {
+        a.col_mut(j)[j..].iter_mut().for_each(|x| *x *= s);
+    }
 }
 
 /// Spectrum invariant hook: compares the solver's eigenvalues against an

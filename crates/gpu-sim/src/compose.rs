@@ -189,20 +189,13 @@ pub fn syr2k_square_flops(n: usize, k: usize, nb: usize, g: usize) -> f64 {
 }
 
 /// Counted FLOPs of one stage-1 panel QR on an `m × b` panel: the
-/// instrumented arithmetic is the compact-WY `T` assembly (per reflector
-/// `j ≥ 1` with a non-degenerate tail, one `2·j·m` GEMM — a length-1
-/// reflector gets `τ = 0` and skips it) plus the `W = V·T` GEMM
-/// (`2·m·kr²`). The `geqr2` reflector math itself is BLAS-1 and
+/// instrumented arithmetic is the compact-WY `T` assembly (one `G = VᵀV`
+/// GEMM, `2·m·kr²`) plus the `W = V·T` GEMM (`2·m·kr²`). The `geqr2`
+/// reflector math and the `trmv`s that turn `G` into `T` are BLAS-1/2 and
 /// uninstrumented by design.
 pub fn stage1_panel_flops(m: usize, b: usize) -> f64 {
     let kr = m.min(b);
-    let mut t = 0.0;
-    for j in 1..kr {
-        if m - j >= 2 {
-            t += 2.0 * j as f64 * m as f64;
-        }
-    }
-    t + 2.0 * m as f64 * kr as f64 * kr as f64
+    4.0 * m as f64 * kr as f64 * kr as f64
 }
 
 /// The replayed depth-1 look-ahead schedule of `tridiag_core::dbbr_ws`

@@ -21,29 +21,30 @@ pub struct WyBlock {
 
 impl WyBlock {
     /// Builds the `T` factor from explicit `V` and the per-reflector `τ`s
-    /// (forward, column-wise `dlarft`).
+    /// (forward, column-wise `dlarft`): `G = VᵀV` is one GEMM, then
+    /// `t_j = −τ_j · T(0..j,0..j) · G(0..j, j)` is an upper-triangular
+    /// `trmv` in place in column `j`. A reflector with `τ = 0` (the
+    /// identity) leaves its column of `T` zero above the diagonal.
     pub fn from_v_taus(v: Mat, taus: &[f64]) -> Self {
         let k = v.ncols();
         assert_eq!(taus.len(), k);
+        let g = gemm_into(1.0, &v.as_ref(), Op::Trans, &v.as_ref(), Op::NoTrans);
         let mut t = Mat::zeros(k, k);
         for j in 0..k {
             let tau = taus[j];
             t[(j, j)] = tau;
             if j > 0 && tau != 0.0 {
-                // t_j = −τ_j · T(0..j,0..j) · V(:,0..j)ᵀ v_j
-                let vj = v.view(0, j, v.nrows(), 1);
-                let v0 = v.view(0, 0, v.nrows(), j);
-                let mut w = gemm_into(-tau, &v0, Op::Trans, &vj, Op::NoTrans); // j×1
-                                                                               // w ← T(0..j,0..j) · w  (upper-triangular in-place trmv)
+                for i in 0..j {
+                    t[(i, j)] = -tau * g[(i, j)];
+                }
+                // t_j ← T(0..j,0..j) · t_j, rows ascending: row i reads
+                // only rows ≥ i of t_j, which are not yet overwritten.
                 for i in 0..j {
                     let mut s = 0.0;
                     for l in i..j {
-                        s += t[(i, l)] * w[(l, 0)];
+                        s += t[(i, l)] * t[(l, j)];
                     }
-                    w[(i, 0)] = s;
-                }
-                for i in 0..j {
-                    t[(i, j)] = w[(i, 0)];
+                    t[(i, j)] = s;
                 }
             }
         }
@@ -216,6 +217,16 @@ mod tests {
         let q = blk.to_q();
         let qe = explicit_product(8, &raw);
         assert!(tg_matrix::max_abs_diff(&q, &qe) < 1e-12);
+
+        // A τ = 0 reflector mid-block is the identity whatever its stored
+        // tail, so the T assembly skips its column.
+        let (blk, mut raw) = random_block(9, 4, 8);
+        raw[2].0 = 0.0;
+        let taus: Vec<f64> = raw.iter().map(|r| r.0).collect();
+        let blk = WyBlock::from_v_taus(blk.v, &taus);
+        assert!((0..3).all(|i| blk.t[(i, 2)] == 0.0));
+        let qe = explicit_product(9, &raw);
+        assert!(tg_matrix::max_abs_diff(&blk.to_q(), &qe) < 1e-12);
     }
 
     #[test]

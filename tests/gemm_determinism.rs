@@ -89,17 +89,17 @@ proptest! {
     }
 }
 
-/// The public `gemm` dispatch — packed path, axpy path, and the TT route —
-/// is bitwise-stable under `TG_THREADS`, which steers both the workspace
-/// convention and the rayon shim's fan-out.
+/// The public `gemm` is bitwise-stable under `TG_THREADS`, which sets its
+/// fan-out width, on a compute-bound square, a wide product of short rank
+/// and a Trans×Trans product.
 #[test]
 fn gemm_dispatch_bitwise_across_tg_threads() {
     let _guard = ENV_LOCK.lock().unwrap();
-    // (m, n, k, ops): packed compute-bound, skinny axpy, and Trans×Trans
+    // (m, n, k, ops): compute-bound, rank 4, and Trans×Trans
     let shapes = [
         (160, 96, 64, Op::NoTrans, Op::NoTrans),
-        (200, 200, 4, Op::NoTrans, Op::Trans), // k < 8 ⇒ column-axpy path
-        (96, 80, 72, Op::Trans, Op::Trans),    // TT ⇒ packed via transposing pack
+        (200, 200, 4, Op::NoTrans, Op::Trans), // rank 4: one short k-block
+        (96, 80, 72, Op::Trans, Op::Trans),    // both operands transposed while packed
     ];
     for (m, n, k, op_a, op_b) in shapes {
         let (ar, ac) = if op_a == Op::NoTrans { (m, k) } else { (k, m) };

@@ -279,3 +279,60 @@ fn nan_in_strict_upper_triangle_changes_no_bit() {
         }
     }
 }
+
+/// `x·2ᵏ` for `|k| ≤ 2044`, in two exact power-of-two steps, so a
+/// subnormal result is rounded once.
+fn times_pow2(x: f64, k: i32) -> f64 {
+    x * 2f64.powi(k / 2) * 2f64.powi(k - k / 2)
+}
+
+/// Input whose norm lies far outside `[√smlnum, √bignum]`, or whose every
+/// entry is subnormal, is scaled into range like LAPACK `dsyevd` does:
+/// `syevd(2ᵏ·B)` returns `2ᵏ·syevd(B)` for every method, values and
+/// vectors, where `B` is a well-scaled matrix and `2ᵏ·B` is exact.
+#[test]
+fn out_of_range_norms_are_scaled_into_range() {
+    use tridiag_gpu::matrix::norms::spectrum_error;
+    let n = 64;
+    let a = gen::random_symmetric(n, 7);
+    // A matrix of subnormals (|x| ≤ 2⁻¹⁰³⁰) and its exact normal image.
+    let sub = Mat::from_fn(n, n, |i, j| times_pow2(a[(i, j)], -1030));
+    let sub_base = Mat::from_fn(n, n, |i, j| times_pow2(sub[(i, j)], 1030));
+    assert!(sub.as_slice().iter().all(|x| !x.is_normal()));
+    let cases = [
+        (&a, 700),
+        (&a, -700),
+        (&a, 900),
+        (&a, -900),
+        (&sub_base, -1030),
+    ];
+    for method in [
+        EvdMethod::CusolverLike { nb: 32 },
+        EvdMethod::MagmaLike { b: 8 },
+        EvdMethod::proposed_default(n),
+    ] {
+        for (base, k) in cases {
+            let scaled = Mat::from_fn(n, n, |i, j| times_pow2(base[(i, j)], k));
+            let expect: Vec<f64> = syevd(&mut base.clone(), &method, false)
+                .unwrap()
+                .eigenvalues
+                .iter()
+                .map(|&x| times_pow2(x, k))
+                .collect();
+            for want_vectors in [false, true] {
+                let evd = syevd(&mut scaled.clone(), &method, want_vectors)
+                    .unwrap_or_else(|e| panic!("{method:?} 2^{k}: {e:?}"));
+                let err = spectrum_error(&expect, &evd.eigenvalues);
+                assert!(
+                    err < 1e-10,
+                    "{method:?} 2^{k} vectors={want_vectors}: {err:e}"
+                );
+                if want_vectors {
+                    let v = evd.eigenvectors.as_ref().unwrap();
+                    assert!(evd.residual(&scaled) < 1e-12, "{method:?} 2^{k}");
+                    assert!(orthogonality_residual(v) < 1e-12, "{method:?} 2^{k}");
+                }
+            }
+        }
+    }
+}
